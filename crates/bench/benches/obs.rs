@@ -6,6 +6,7 @@
 //! are visible from the artifact history.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use hsp_experiments::append_bench_rows;
 use hsp_obs::{Registry, RouteMetrics};
 use std::time::Instant;
 
@@ -19,27 +20,14 @@ fn time_ns(iters: u64, mut f: impl FnMut()) -> f64 {
     start.elapsed().as_nanos() as f64 / iters as f64
 }
 
-/// Append one run's headline numbers to `<workspace>/BENCH_obs.json`
-/// (a JSON array of run objects; created on first use).
-fn append_headline(entries: &[(&str, f64)]) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_obs.json");
-    let mut runs: serde_json::Value = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| serde_json::from_str(&s).ok())
-        .unwrap_or_else(|| serde_json::json!([]));
+/// One run's headline numbers as a `<workspace>/BENCH_obs.json` row.
+fn headline_row(entries: &[(&str, f64)]) -> serde_json::Value {
     let mut run = serde_json::Map::new();
     run.insert("bench".to_string(), serde_json::Value::from("obs"));
     for (name, ns) in entries {
         run.insert(format!("{name}_ns"), serde_json::Value::from(*ns));
     }
-    if let Some(arr) = runs.as_array_mut() {
-        arr.push(serde_json::Value::Object(run));
-    }
-    if let Ok(body) = serde_json::to_string_pretty(&runs) {
-        if std::fs::write(path, body).is_ok() {
-            eprintln!("[bench] appended headline numbers to BENCH_obs.json");
-        }
-    }
+    serde_json::Value::Object(run)
 }
 
 fn obs_hot_path(c: &mut Criterion) {
@@ -85,13 +73,14 @@ fn obs_hot_path(c: &mut Criterion) {
     let render_ns = time_ns(1_000, || {
         black_box(reg.render_prometheus());
     });
-    append_headline(&[
+    let row = headline_row(&[
         ("counter_add", counter_ns),
         ("histogram_record", hist_ns),
         ("route_observe", route_ns),
         ("registry_snapshot", snapshot_ns),
         ("render_prometheus", render_ns),
     ]);
+    append_bench_rows(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_obs.json"), vec![row]);
 }
 
 fn obs_exposition(c: &mut Criterion) {

@@ -13,13 +13,13 @@
 //! can't fix (suspension, session expiry, truncated HTML) is handled
 //! here.
 
-use crate::effort::Effort;
+use crate::effort::{Effort, Endpoint};
 use crate::scrape::{parse_listing, parse_listing_stamped, parse_profile, ScrapedProfile};
 use crate::snapshot::CrawlSnapshot;
 use hsp_graph::{SchoolId, UserId};
 use hsp_http::resilient::{
     captcha_delay_ms, is_shed, refusal_provenance, retryable_transport_error, RetryStats,
-    H_ACCOUNT_SUSPENDED, H_TRACE_ID, H_VIRTUAL_NOW,
+    H_ACCOUNT_SUSPENDED, H_TRACE_ID, H_VIRTUAL_NOW, REFUSAL_SOURCES,
 };
 use hsp_http::{Exchange, HttpError, Request, Response, Status};
 use hsp_obs::trace::{fnv1a_chain, SpanRecord, FNV_OFFSET, TRACE_SEED};
@@ -314,24 +314,6 @@ struct AccountSession<E: Exchange> {
     lane: u64,
 }
 
-/// Endpoint labels used for metrics, effort buckets and breakers.
-pub(crate) const EP_AUTH: &str = "auth";
-pub(crate) const EP_SEEDS: &str = "find-friends";
-pub(crate) const EP_PROFILE: &str = "profile";
-pub(crate) const EP_FRIENDS: &str = "friends";
-pub(crate) const EP_CIRCLES: &str = "circles";
-pub(crate) const EP_MESSAGE: &str = "message";
-/// Mimicry re-fetches by the adaptive crawler: real requests, but not
-/// scraping progress — billed to their own effort bucket.
-pub(crate) const EP_DECOY: &str = "decoy";
-pub(crate) const ENDPOINTS: [&str; 7] =
-    [EP_AUTH, EP_SEEDS, EP_PROFILE, EP_FRIENDS, EP_CIRCLES, EP_MESSAGE, EP_DECOY];
-
-/// Refusal provenance labels for `crawler_refusals_total{source=…}` —
-/// the audit-side half of the response-header taxonomy: every refusal
-/// the crawl absorbs is attributed to exactly one limiter.
-pub(crate) const REFUSAL_SOURCES: [&str; 5] = ["edge", "fault", "throttle", "shed", "suspension"];
-
 /// Deterministic trace lane for an account: FNV-1a of its username.
 /// Usernames are unique per account (including recruits) across both
 /// the sequential crawler and the parallel scheduler, so lanes are
@@ -340,18 +322,19 @@ pub(crate) fn trace_lane(username: &str) -> u64 {
     fnv1a_chain(FNV_OFFSET, username.as_bytes())
 }
 
-/// Record the crawl-side root span for one issued request. `resp` is
-/// `None` when the transport failed outright (the retry layer's budget
-/// included). The outcome taxonomy mirrors the fetch loop's own
-/// branches so a trace reads like the crawler's decision log.
+/// Record the crawl-side root span, named after its endpoint, for one
+/// issued request when it is traced. `resp` is `None` when the
+/// transport failed outright (the retry layer's budget included). The
+/// outcome taxonomy mirrors the fetch loop's own branches so a trace
+/// reads like the crawler's decision log.
 pub(crate) fn record_root_span(
-    tracer: &FlightRecorder,
-    ctx: &TraceCtx,
-    name: &str,
+    trace: &Option<(Arc<FlightRecorder>, TraceCtx)>,
+    endpoint: Endpoint,
     begin_ms: u64,
     end_ms: u64,
     resp: Option<&Response>,
 ) {
+    let Some((tracer, ctx)) = trace else { return };
     let (status, outcome, provenance, captcha_ms) = match resp {
         None => (0, "transport", "", 0),
         Some(resp) => {
@@ -376,7 +359,7 @@ pub(crate) fn record_root_span(
         parent_id: 0,
         lane: ctx.lane,
         ordinal: ctx.ordinal,
-        name: name.to_string(),
+        name: endpoint.label().to_string(),
         begin_ms,
         end_ms,
         status,
@@ -390,9 +373,10 @@ pub(crate) fn record_root_span(
 /// per-endpoint fetch counts, cache hit/miss tallies, retry/breaker/
 /// failover telemetry, and the virtual politeness clock. Recording is
 /// atomic adds only, so one instance is safely shared across the
-/// parallel scheduler's worker threads.
+/// parallel scheduler's worker threads. Per-endpoint handles are
+/// indexed by `Endpoint as usize`.
 pub(crate) struct CrawlerMetrics {
-    pub(crate) fetch: HashMap<&'static str, Arc<Counter>>,
+    pub(crate) fetch: [Arc<Counter>; 7],
     pub(crate) fetch_retry: Arc<Counter>,
     pub(crate) cache_profile_hits: Arc<Counter>,
     pub(crate) cache_profile_misses: Arc<Counter>,
@@ -403,8 +387,8 @@ pub(crate) struct CrawlerMetrics {
     pub(crate) politeness_virtual_ms: Arc<Counter>,
     pub(crate) politeness_widened: Arc<Counter>,
     pub(crate) auth_retries: Arc<Counter>,
-    pub(crate) breaker_open: HashMap<&'static str, Arc<Counter>>,
-    pub(crate) breaker_closed: HashMap<&'static str, Arc<Counter>>,
+    pub(crate) breaker_open: [Arc<Counter>; 7],
+    pub(crate) breaker_closed: [Arc<Counter>; 7],
     pub(crate) account_suspensions: Arc<Counter>,
     pub(crate) accounts_recruited: Arc<Counter>,
     pub(crate) partial_friend_lists: Arc<Counter>,
@@ -420,7 +404,8 @@ pub(crate) struct CrawlerMetrics {
     /// Tombstone pages absorbed (deactivated/graduated users degraded
     /// to a Completeness disclosure).
     pub(crate) tombstones: Arc<Counter>,
-    /// Refusals by provenance (see [`REFUSAL_SOURCES`]).
+    /// Refusals by provenance (see [`REFUSAL_SOURCES`]): every refusal
+    /// the crawl absorbs is attributed to exactly one limiter.
     pub(crate) refusals: HashMap<&'static str, Arc<Counter>>,
 }
 
@@ -434,7 +419,7 @@ impl CrawlerMetrics {
             reg.counter_with("crawler_breaker_transitions_total", &[("endpoint", e), ("to", to)])
         };
         CrawlerMetrics {
-            fetch: ENDPOINTS.iter().map(|&e| (e, fetch(e))).collect(),
+            fetch: Endpoint::ALL.map(|e| fetch(e.label())),
             fetch_retry: fetch("retry"),
             cache_profile_hits: cache("profile", "hit"),
             cache_profile_misses: cache("profile", "miss"),
@@ -445,8 +430,8 @@ impl CrawlerMetrics {
             politeness_virtual_ms: reg.counter("crawler_politeness_virtual_ms"),
             politeness_widened: reg.counter("crawler_politeness_widened_total"),
             auth_retries: reg.counter("crawler_auth_retries_total"),
-            breaker_open: ENDPOINTS.iter().map(|&e| (e, breaker(e, "open"))).collect(),
-            breaker_closed: ENDPOINTS.iter().map(|&e| (e, breaker(e, "closed"))).collect(),
+            breaker_open: Endpoint::ALL.map(|e| breaker(e.label(), "open")),
+            breaker_closed: Endpoint::ALL.map(|e| breaker(e.label(), "closed")),
             account_suspensions: reg.counter("crawler_account_suspensions_total"),
             accounts_recruited: reg.counter("crawler_accounts_recruited_total"),
             partial_friend_lists: reg.counter("crawler_partial_friend_lists_total"),
@@ -468,6 +453,20 @@ impl CrawlerMetrics {
                 c.add(n);
             }
         }
+    }
+}
+
+/// Count one issued request against the endpoint's effort bucket and
+/// fetch counter. Re-fetches (truncation, failover) count again —
+/// that's the point: Table 3 stays honest under faults.
+pub(crate) fn count_request(
+    effort: &mut Effort,
+    metrics: Option<&CrawlerMetrics>,
+    endpoint: Endpoint,
+) {
+    *endpoint.bucket(effort) += 1;
+    if let Some(m) = metrics {
+        m.fetch[endpoint as usize].inc();
     }
 }
 
@@ -603,7 +602,7 @@ pub struct Crawler<E: Exchange> {
     recruited: usize,
     max_accounts: usize,
     breaker_cfg: BreakerConfig,
-    breakers: HashMap<&'static str, Breaker>,
+    breakers: HashMap<Endpoint, Breaker>,
     /// Detector-evasion maneuvers; `None` = the naive crawler.
     adaptive: Option<AdaptiveStrategy>,
     /// Per-account politeness-draw counters (the lane RNG cursor).
@@ -719,9 +718,7 @@ impl<E: Exchange> Crawler<E> {
         }
         let begin_ms = self.trace_now_ms();
         let (resp, retries) = auth_post(&mut exchange, &signup)?;
-        if let Some((tracer, ctx)) = &trace {
-            record_root_span(tracer, ctx, EP_AUTH, begin_ms, self.trace_now_ms(), Some(&resp));
-        }
+        record_root_span(&trace, Endpoint::Auth, begin_ms, self.trace_now_ms(), Some(&resp));
         self.count_auth_attempts(1 + retries);
         // An already-registered fake account is fine — reuse it by
         // logging in (the paper's attacker kept accounts across crawls).
@@ -738,9 +735,7 @@ impl<E: Exchange> Crawler<E> {
         }
         let begin_ms = self.trace_now_ms();
         let (resp, retries) = auth_post(&mut exchange, &login)?;
-        if let Some((tracer, ctx)) = &trace {
-            record_root_span(tracer, ctx, EP_AUTH, begin_ms, self.trace_now_ms(), Some(&resp));
-        }
+        record_root_span(&trace, Endpoint::Auth, begin_ms, self.trace_now_ms(), Some(&resp));
         self.count_auth_attempts(1 + retries);
         if !resp.status.is_success() {
             return Err(CrawlError::Denied(resp.status));
@@ -857,26 +852,6 @@ impl<E: Exchange> Crawler<E> {
 
     // ---- accounting helpers -----------------------------------------------
 
-    /// Count one issued request against the endpoint's effort bucket
-    /// and metric. Re-fetches (truncation, failover) count again —
-    /// that's the point: Table 3 stays honest under faults.
-    fn count_request(&mut self, endpoint: &'static str) {
-        match endpoint {
-            EP_AUTH => self.effort.auth_requests += 1,
-            EP_SEEDS => self.effort.seed_requests += 1,
-            EP_PROFILE => self.effort.profile_requests += 1,
-            EP_FRIENDS | EP_CIRCLES => self.effort.friend_list_requests += 1,
-            EP_MESSAGE => self.effort.message_requests += 1,
-            EP_DECOY => self.effort.decoy_requests += 1,
-            _ => {}
-        }
-        if let Some(m) = &self.obs {
-            if let Some(c) = m.fetch.get(endpoint) {
-                c.inc();
-            }
-        }
-    }
-
     /// Fold transport-layer retries accumulated since the last sync
     /// into `Effort` and `crawler_fetch_total{endpoint="retry"}`, and
     /// attribute any new 429s to their provenance ledger
@@ -910,7 +885,7 @@ impl<E: Exchange> Crawler<E> {
     /// auth retries for the soak's POST-redelivery reconciliation.
     fn count_auth_attempts(&mut self, attempts: u64) {
         for _ in 0..attempts {
-            self.count_request(EP_AUTH);
+            count_request(&mut self.effort, self.obs.as_ref(), Endpoint::Auth);
         }
         self.sync_retries();
         let retries = attempts.saturating_sub(1);
@@ -1046,7 +1021,7 @@ impl<E: Exchange> Crawler<E> {
 
     // ---- circuit breakers -------------------------------------------------
 
-    fn breaker_failure(&mut self, endpoint: &'static str) {
+    fn breaker_failure(&mut self, endpoint: Endpoint) {
         let threshold = self.breaker_cfg.failure_threshold;
         let cooldown = self.breaker_cfg.cooldown_ms;
         let breaker = self.breakers.entry(endpoint).or_default();
@@ -1054,9 +1029,7 @@ impl<E: Exchange> Crawler<E> {
             // Open: pay the cooldown in virtual time, then half-open —
             // the next request through is the probe.
             if let Some(m) = &self.obs {
-                if let Some(c) = m.breaker_open.get(endpoint) {
-                    c.inc();
-                }
+                m.breaker_open[endpoint as usize].inc();
             }
             self.virtual_elapsed_ms += cooldown;
             if let Some(clock) = &self.clock {
@@ -1065,13 +1038,11 @@ impl<E: Exchange> Crawler<E> {
         }
     }
 
-    fn breaker_success(&mut self, endpoint: &'static str) {
+    fn breaker_success(&mut self, endpoint: Endpoint) {
         let breaker = self.breakers.entry(endpoint).or_default();
         if breaker.record_success() {
             if let Some(m) = &self.obs {
-                if let Some(c) = m.breaker_closed.get(endpoint) {
-                    c.inc();
-                }
+                m.breaker_closed[endpoint as usize].inc();
             }
         }
     }
@@ -1143,9 +1114,7 @@ impl<E: Exchange> Crawler<E> {
         }
         let begin_ms = self.trace_now_ms();
         let (resp, retries) = auth_post(&mut self.accounts[account].exchange, &login)?;
-        if let Some((tracer, ctx)) = &trace {
-            record_root_span(tracer, ctx, EP_AUTH, begin_ms, self.trace_now_ms(), Some(&resp));
-        }
+        record_root_span(&trace, Endpoint::Auth, begin_ms, self.trace_now_ms(), Some(&resp));
         self.count_auth_attempts(1 + retries);
         if !resp.status.is_success() {
             return Err(CrawlError::Denied(resp.status));
@@ -1165,7 +1134,7 @@ impl<E: Exchange> Crawler<E> {
     /// per-account); everything else rotates.
     fn fetch(
         &mut self,
-        endpoint: &'static str,
+        endpoint: Endpoint,
         pinned: Option<usize>,
         path: &str,
     ) -> Result<Response, CrawlError> {
@@ -1192,17 +1161,8 @@ impl<E: Exchange> Crawler<E> {
                 req = req.header(H_TRACE_ID, ctx.header_value());
             }
             let result = self.accounts[account].exchange.exchange(req);
-            if let Some((tracer, ctx)) = &trace {
-                record_root_span(
-                    tracer,
-                    ctx,
-                    endpoint,
-                    begin_ms,
-                    self.trace_now_ms(),
-                    result.as_ref().ok(),
-                );
-            }
-            self.count_request(endpoint);
+            record_root_span(&trace, endpoint, begin_ms, self.trace_now_ms(), result.as_ref().ok());
+            count_request(&mut self.effort, self.obs.as_ref(), endpoint);
             self.sync_retries();
             self.observe_shed_pressure();
             let resp = match result {
@@ -1299,7 +1259,7 @@ impl<E: Exchange> Crawler<E> {
         if let Some(m) = &self.obs {
             m.adapt_decoys.inc();
         }
-        let _ = self.fetch(EP_DECOY, None, &format!("/profile/{uid}"));
+        let _ = self.fetch(Endpoint::Decoy, None, &format!("/profile/{uid}"));
     }
 
     /// Page through one account's search results.
@@ -1311,7 +1271,7 @@ impl<E: Exchange> Crawler<E> {
         let mut out = Vec::new();
         let mut url = format!("/find-friends?school={school}");
         loop {
-            let resp = self.fetch(EP_SEEDS, Some(account), &url)?;
+            let resp = self.fetch(Endpoint::Seeds, Some(account), &url)?;
             if resp.status == Status::FORBIDDEN {
                 return Err(CrawlError::Denied(resp.status));
             }
@@ -1383,7 +1343,7 @@ impl<E: Exchange> OsnAccess for Crawler<E> {
         if let Some(m) = &self.obs {
             m.cache_profile_misses.inc();
         }
-        let resp = self.fetch(EP_PROFILE, None, &format!("/profile/{uid}"))?;
+        let resp = self.fetch(Endpoint::Profile, None, &format!("/profile/{uid}"))?;
         if resp.status == Status::FORBIDDEN {
             return Err(CrawlError::Denied(resp.status));
         }
@@ -1430,7 +1390,7 @@ impl<E: Exchange> OsnAccess for Crawler<E> {
                 if refetch_pass {
                     self.note_stale_refetch(1);
                 }
-                let resp = match self.fetch(EP_FRIENDS, None, &url) {
+                let resp = match self.fetch(Endpoint::Friends, None, &url) {
                     Ok(resp) => resp,
                     // Graceful degradation: a mid-list failure keeps the
                     // pages already fetched, flagged incomplete, instead of
@@ -1482,7 +1442,7 @@ impl<E: Exchange> OsnAccess for Crawler<E> {
         if let (Some(lg), Some(pg)) = (list_gen, profile_gen) {
             if lg != pg {
                 self.note_stale_refetch(1);
-                if let Ok(resp) = self.fetch(EP_PROFILE, None, &format!("/profile/{uid}")) {
+                if let Ok(resp) = self.fetch(Endpoint::Profile, None, &format!("/profile/{uid}")) {
                     if resp.status.is_success() {
                         let p = parse_profile(&resp.body_string());
                         if p.uid == Some(uid) {
@@ -1533,7 +1493,7 @@ impl<E: Exchange> OsnAccess for Crawler<E> {
         let mut out = Vec::new();
         let mut url = format!("/circles/{uid}?dir={dir}");
         loop {
-            let resp = self.fetch(EP_CIRCLES, None, &url)?;
+            let resp = self.fetch(Endpoint::Circles, None, &url)?;
             if resp.status == Status::FORBIDDEN {
                 self.circles_cache.insert((uid, incoming), None);
                 return Ok(None);
@@ -1560,18 +1520,15 @@ impl<E: Exchange> OsnAccess for Crawler<E> {
             req = req.header(H_TRACE_ID, ctx.header_value());
         }
         let result = self.accounts[account].exchange.exchange(req);
-        if let Some((tracer, ctx)) = &trace {
-            record_root_span(
-                tracer,
-                ctx,
-                EP_MESSAGE,
-                begin_ms,
-                self.trace_now_ms(),
-                result.as_ref().ok(),
-            );
-        }
+        record_root_span(
+            &trace,
+            Endpoint::Message,
+            begin_ms,
+            self.trace_now_ms(),
+            result.as_ref().ok(),
+        );
         let resp = result?;
-        self.count_request(EP_MESSAGE);
+        count_request(&mut self.effort, self.obs.as_ref(), Endpoint::Message);
         self.sync_retries();
         self.absorb_captcha(&resp);
         match resp.status {

@@ -82,6 +82,67 @@ impl Effort {
     }
 }
 
+/// What one issued request was for. Each endpoint carries its label
+/// (the `endpoint` label of `crawler_fetch_total` and
+/// `crawler_breaker_transitions_total`, the crawler's root-span name and
+/// its breakers' journal key) and the [`Effort`] bucket it is billed to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Endpoint {
+    /// Signup and login POSTs.
+    Auth,
+    /// Find-Friends search pages (seed collection).
+    Seeds,
+    Profile,
+    Friends,
+    /// Google+ circles pages, billed as friend lists.
+    Circles,
+    Message,
+    /// Mimicry re-fetches by the adaptive crawler: real requests, but
+    /// not scraping progress — billed to their own bucket.
+    Decoy,
+}
+
+impl Endpoint {
+    pub const ALL: [Endpoint; 7] = [
+        Endpoint::Auth,
+        Endpoint::Seeds,
+        Endpoint::Profile,
+        Endpoint::Friends,
+        Endpoint::Circles,
+        Endpoint::Message,
+        Endpoint::Decoy,
+    ];
+
+    pub fn label(self) -> &'static str {
+        match self {
+            Endpoint::Auth => "auth",
+            Endpoint::Seeds => "find-friends",
+            Endpoint::Profile => "profile",
+            Endpoint::Friends => "friends",
+            Endpoint::Circles => "circles",
+            Endpoint::Message => "message",
+            Endpoint::Decoy => "decoy",
+        }
+    }
+
+    /// The endpoint a label names (journaled breaker keys on resume).
+    pub fn from_label(label: &str) -> Option<Endpoint> {
+        Endpoint::ALL.into_iter().find(|e| e.label() == label)
+    }
+
+    /// The [`Effort`] bucket one request to this endpoint is billed to.
+    pub fn bucket(self, effort: &mut Effort) -> &mut u64 {
+        match self {
+            Endpoint::Auth => &mut effort.auth_requests,
+            Endpoint::Seeds => &mut effort.seed_requests,
+            Endpoint::Profile => &mut effort.profile_requests,
+            Endpoint::Friends | Endpoint::Circles => &mut effort.friend_list_requests,
+            Endpoint::Message => &mut effort.message_requests,
+            Endpoint::Decoy => &mut effort.decoy_requests,
+        }
+    }
+}
+
 impl std::fmt::Display for Effort {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -142,5 +203,20 @@ mod tests {
         // buckets and tombstones are not requests — neither may double
         // into the total.
         assert_eq!(delta.total(), 505);
+    }
+
+    #[test]
+    fn endpoints_index_by_declaration_order_and_round_trip_labels() {
+        for (i, e) in Endpoint::ALL.into_iter().enumerate() {
+            assert_eq!(e as usize, i, "metric arrays are indexed by `Endpoint as usize`");
+            assert_eq!(Endpoint::from_label(e.label()), Some(e));
+        }
+        assert_eq!(Endpoint::from_label("retry"), None);
+        let mut effort = Effort::default();
+        for e in Endpoint::ALL {
+            *e.bucket(&mut effort) += 1;
+        }
+        assert_eq!(effort.friend_list_requests, 2, "circles bill as friend lists");
+        assert_eq!(effort.total(), 5, "auth and messages stay out of the paper's total");
     }
 }

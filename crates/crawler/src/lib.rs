@@ -26,7 +26,7 @@ pub mod snapshot;
 pub use driver::{
     AdaptiveStrategy, BreakerConfig, CrawlError, Crawler, CrawlerBuilder, OsnAccess, Politeness,
 };
-pub use effort::Effort;
+pub use effort::{Effort, Endpoint};
 pub use journal::{
     fold_state, recover, recover_bytes, recover_instrumented, Journal, JournalError,
     JournalMetrics, JournalRecord, KillPlan, LaneState, RecoveredLog, ResumeState, SchedState,

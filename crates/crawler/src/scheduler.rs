@@ -17,11 +17,15 @@
 //! checkpoints are **bit-identical at any worker count** — including
 //! under `FaultPlan::chaos()`.
 //!
-//! Failover matches the sequential [`crate::Crawler`]: a suspension
-//! drops the account's unfinished queue items into a leftover pool,
-//! the fleet doubles via (strictly serial) recruitment after the batch
-//! joins — account indices on the platform are assigned by arrival
-//! order — and the leftovers are redistributed over the survivors.
+//! Failover works at queue granularity: a suspension drops the
+//! account's unfinished queue items into a leftover pool, the fleet
+//! doubles via (strictly serial) recruitment after the batch joins —
+//! account indices on the platform are assigned by arrival order — and
+//! the leftovers are redistributed over the survivors. The sequential
+//! [`crate::Crawler`] instead rotates accounts per request, so the two
+//! engines issue different request streams once faults strike: under
+//! `FaultPlan::chaos()` they reach the same seeds and Table 4 but not
+//! the same Effort or checkpoint (`tests/engine_equivalence.rs`).
 //!
 //! Because politeness is virtual time, "how long would this crawl
 //! take" is modeled rather than slept: each batch contributes the
@@ -31,11 +35,10 @@
 //! attack's virtual wall-clock.
 
 use crate::driver::{
-    html_complete, record_root_span, trace_lane, Breaker, BreakerConfig, CrawlError,
-    CrawlerMetrics, OsnAccess, Politeness, EP_AUTH, EP_CIRCLES, EP_FRIENDS, EP_MESSAGE, EP_PROFILE,
-    EP_SEEDS,
+    count_request, html_complete, record_root_span, trace_lane, Breaker, BreakerConfig, CrawlError,
+    CrawlerMetrics, OsnAccess, Politeness,
 };
-use crate::effort::Effort;
+use crate::effort::{Effort, Endpoint};
 use crate::journal::{
     BreakerState, CirclesEntry, Journal, JournalError, JournalRecord, LaneState, ResumeState,
     RetryStatsState, SchedState, TransportJournalState,
@@ -143,7 +146,7 @@ struct AccountWorker<E: Exchange> {
     /// Fallback timeline when no clock was supplied.
     local_ms: u64,
     clock: Option<Arc<VirtualClock>>,
-    breakers: HashMap<&'static str, Breaker>,
+    breakers: HashMap<Endpoint, Breaker>,
     /// Trace lane ([`trace_lane`] of the username) and the next request
     /// ordinal on it. Only this worker's thread touches the ordinal, so
     /// per-lane trace ids are deterministic at any worker count.
@@ -178,22 +181,6 @@ impl<E: Exchange> AccountWorker<E> {
         Some((Arc::clone(tracer), ctx))
     }
 
-    fn count_request(&mut self, endpoint: &'static str, shared: &Shared) {
-        match endpoint {
-            EP_AUTH => self.effort.auth_requests += 1,
-            EP_SEEDS => self.effort.seed_requests += 1,
-            EP_PROFILE => self.effort.profile_requests += 1,
-            EP_FRIENDS | EP_CIRCLES => self.effort.friend_list_requests += 1,
-            EP_MESSAGE => self.effort.message_requests += 1,
-            _ => {}
-        }
-        if let Some(m) = &shared.metrics {
-            if let Some(c) = m.fetch.get(endpoint) {
-                c.inc();
-            }
-        }
-    }
-
     fn advance_politeness(&mut self, shared: &Shared) {
         let ms = shared.politeness.sleep_ms_between_requests;
         self.advance_ms(ms);
@@ -211,7 +198,7 @@ impl<E: Exchange> AccountWorker<E> {
         }
     }
 
-    fn breaker_failure(&mut self, endpoint: &'static str, shared: &Shared) {
+    fn breaker_failure(&mut self, endpoint: Endpoint, shared: &Shared) {
         let opened = self
             .breakers
             .entry(endpoint)
@@ -219,20 +206,16 @@ impl<E: Exchange> AccountWorker<E> {
             .record_failure(shared.breaker.failure_threshold);
         if opened {
             if let Some(m) = &shared.metrics {
-                if let Some(c) = m.breaker_open.get(endpoint) {
-                    c.inc();
-                }
+                m.breaker_open[endpoint as usize].inc();
             }
             self.advance_ms(shared.breaker.cooldown_ms);
         }
     }
 
-    fn breaker_success(&mut self, endpoint: &'static str, shared: &Shared) {
+    fn breaker_success(&mut self, endpoint: Endpoint, shared: &Shared) {
         if self.breakers.entry(endpoint).or_default().record_success() {
             if let Some(m) = &shared.metrics {
-                if let Some(c) = m.breaker_closed.get(endpoint) {
-                    c.inc();
-                }
+                m.breaker_closed[endpoint as usize].inc();
             }
         }
     }
@@ -270,11 +253,9 @@ impl<E: Exchange> AccountWorker<E> {
         }
         let begin_ms = self.now_ms();
         let result = self.exchange.exchange(req);
-        if let Some((tracer, ctx)) = &trace {
-            record_root_span(tracer, ctx, EP_AUTH, begin_ms, self.now_ms(), result.as_ref().ok());
-        }
+        record_root_span(&trace, Endpoint::Auth, begin_ms, self.now_ms(), result.as_ref().ok());
         let resp = result?;
-        self.count_request(EP_AUTH, shared);
+        count_request(&mut self.effort, shared.metrics.as_deref(), Endpoint::Auth);
         if !resp.status.is_success() {
             return Err(CrawlError::Denied(resp.status));
         }
@@ -284,7 +265,7 @@ impl<E: Exchange> AccountWorker<E> {
     /// The per-account resilient fetch loop — same survival rules as
     /// the sequential crawler's, minus rotation (failover is the
     /// scheduler's job, at queue granularity).
-    fn fetch(&mut self, endpoint: &'static str, path: &str, shared: &Shared) -> FetchOut {
+    fn fetch(&mut self, endpoint: Endpoint, path: &str, shared: &Shared) -> FetchOut {
         let mut relogins = 0u32;
         let mut truncations = 0u32;
         let mut last_denied = Status::SERVICE_UNAVAILABLE;
@@ -303,17 +284,8 @@ impl<E: Exchange> AccountWorker<E> {
                 req = req.header(H_TRACE_ID, ctx.header_value());
             }
             let result = self.exchange.exchange(req);
-            if let Some((tracer, ctx)) = &trace {
-                record_root_span(
-                    tracer,
-                    ctx,
-                    endpoint,
-                    begin_ms,
-                    self.now_ms(),
-                    result.as_ref().ok(),
-                );
-            }
-            self.count_request(endpoint, shared);
+            record_root_span(&trace, endpoint, begin_ms, self.now_ms(), result.as_ref().ok());
+            count_request(&mut self.effort, shared.metrics.as_deref(), endpoint);
             let resp = match result {
                 Ok(resp) => resp,
                 Err(HttpError::DeadlineExceeded) => {
@@ -375,7 +347,7 @@ impl<E: Exchange> AccountWorker<E> {
         let mut out = Vec::new();
         let mut url = format!("/find-friends?school={school}");
         loop {
-            let resp = match self.fetch(EP_SEEDS, &url, shared) {
+            let resp = match self.fetch(Endpoint::Seeds, &url, shared) {
                 FetchOut::Page(resp) => resp,
                 // Seeds are pinned to this account's own sample; like
                 // the sequential crawler, losing the account mid-sweep
@@ -398,7 +370,7 @@ impl<E: Exchange> AccountWorker<E> {
     }
 
     fn run_profile(&mut self, uid: UserId, shared: &Shared) -> JobOutcome {
-        let resp = match self.fetch(EP_PROFILE, &format!("/profile/{uid}"), shared) {
+        let resp = match self.fetch(Endpoint::Profile, &format!("/profile/{uid}"), shared) {
             FetchOut::Page(resp) => resp,
             FetchOut::Suspended => return JobOutcome::Suspended,
             FetchOut::Fatal(e) => return JobOutcome::Fatal(e),
@@ -431,7 +403,7 @@ impl<E: Exchange> AccountWorker<E> {
                 if refetch_pass {
                     self.note_stale_refetch(shared);
                 }
-                let resp = match self.fetch(EP_FRIENDS, &url, shared) {
+                let resp = match self.fetch(Endpoint::Friends, &url, shared) {
                     FetchOut::Page(resp) => resp,
                     // Mid-list suspension: discard the partial pages and
                     // hand the whole job to a survivor (deterministic —
@@ -473,7 +445,7 @@ impl<E: Exchange> AccountWorker<E> {
         let mut out = Vec::new();
         let mut url = format!("/circles/{uid}?dir={dir}");
         loop {
-            let resp = match self.fetch(EP_CIRCLES, &url, shared) {
+            let resp = match self.fetch(Endpoint::Circles, &url, shared) {
                 FetchOut::Page(resp) => resp,
                 FetchOut::Suspended => return JobOutcome::Suspended,
                 FetchOut::Fatal(e) => return JobOutcome::Fatal(e),
@@ -700,20 +672,6 @@ fn map_journal_err(e: JournalError) -> CrawlError {
     }
 }
 
-/// Map a journaled breaker-endpoint name back to its `&'static str`
-/// label (unknown names — a newer journal, say — are dropped).
-fn endpoint_label(name: &str) -> Option<&'static str> {
-    match name {
-        EP_AUTH => Some(EP_AUTH),
-        EP_SEEDS => Some(EP_SEEDS),
-        EP_PROFILE => Some(EP_PROFILE),
-        EP_FRIENDS => Some(EP_FRIENDS),
-        EP_CIRCLES => Some(EP_CIRCLES),
-        EP_MESSAGE => Some(EP_MESSAGE),
-        _ => None,
-    }
-}
-
 impl<E: Exchange + Send> ParallelCrawler<E> {
     pub fn builder(label: &str) -> ParallelCrawlerBuilder<E> {
         ParallelCrawlerBuilder::new(label)
@@ -872,12 +830,14 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
                 // worker — that would double-charge `local_ms`.)
                 c.advance_ms(lane.clock_ms);
             }
-            let mut breakers = HashMap::new();
-            for (name, b) in &lane.breakers {
-                if let Some(ep) = endpoint_label(name) {
-                    breakers.insert(ep, Breaker::restore(b.consecutive, b.open));
-                }
-            }
+            // Unknown endpoint names (a newer journal, say) are dropped.
+            let breakers = lane
+                .breakers
+                .iter()
+                .filter_map(|(name, b)| {
+                    Some((Endpoint::from_label(name)?, Breaker::restore(b.consecutive, b.open)))
+                })
+                .collect();
             let worker = AccountWorker {
                 exchange,
                 username: lane.username.clone(),
@@ -937,11 +897,9 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
         }
         let begin_ms = worker.now_ms();
         let result = worker.exchange.exchange(signup);
-        if let Some((tracer, ctx)) = &trace {
-            record_root_span(tracer, ctx, EP_AUTH, begin_ms, worker.now_ms(), result.as_ref().ok());
-        }
+        record_root_span(&trace, Endpoint::Auth, begin_ms, worker.now_ms(), result.as_ref().ok());
         let resp = result?;
-        worker.count_request(EP_AUTH, &self.shared);
+        count_request(&mut worker.effort, self.shared.metrics.as_deref(), Endpoint::Auth);
         if !resp.status.is_success() && resp.status != Status::BAD_REQUEST {
             return Err(CrawlError::Denied(resp.status));
         }
@@ -953,11 +911,9 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
         }
         let begin_ms = worker.now_ms();
         let result = worker.exchange.exchange(login);
-        if let Some((tracer, ctx)) = &trace {
-            record_root_span(tracer, ctx, EP_AUTH, begin_ms, worker.now_ms(), result.as_ref().ok());
-        }
+        record_root_span(&trace, Endpoint::Auth, begin_ms, worker.now_ms(), result.as_ref().ok());
         let resp = result?;
-        worker.count_request(EP_AUTH, &self.shared);
+        count_request(&mut worker.effort, self.shared.metrics.as_deref(), Endpoint::Auth);
         if !resp.status.is_success() {
             return Err(CrawlError::Denied(resp.status));
         }
@@ -1014,9 +970,9 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
             .map(|(i, a)| {
                 let worker = a.lock().expect("account lock");
                 let mut breakers = std::collections::BTreeMap::new();
-                for (&ep, b) in &worker.breakers {
+                for (ep, b) in &worker.breakers {
                     let (consecutive, open) = b.snapshot();
-                    breakers.insert(ep.to_string(), BreakerState { consecutive, open });
+                    breakers.insert(ep.label().to_string(), BreakerState { consecutive, open });
                 }
                 LaneState {
                     index: i as u64,
@@ -1629,18 +1585,15 @@ impl<E: Exchange + Send> OsnAccess for ParallelCrawler<E> {
             req = req.header(H_TRACE_ID, ctx.header_value());
         }
         let result = worker.exchange.exchange(req);
-        if let Some((tracer, ctx)) = &trace {
-            record_root_span(
-                tracer,
-                ctx,
-                EP_MESSAGE,
-                begin_ms,
-                worker.now_ms(),
-                result.as_ref().ok(),
-            );
-        }
+        record_root_span(
+            &trace,
+            Endpoint::Message,
+            begin_ms,
+            worker.now_ms(),
+            result.as_ref().ok(),
+        );
         let resp = result?;
-        worker.count_request(EP_MESSAGE, &self.shared);
+        count_request(&mut worker.effort, self.shared.metrics.as_deref(), Endpoint::Message);
         worker.absorb_captcha(&resp, &self.shared);
         let outcome = match resp.status {
             s if s.is_success() => Ok(true),

@@ -222,23 +222,18 @@ pub enum Verdict {
     Suspend,
 }
 
-/// Traffic class of an observed route.
+/// Traffic class of a platform route, as the detector sees it. The
+/// platform's route table names one per route.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum RouteClass {
+pub enum RouteClass {
+    /// Signup and login: pre-session traffic, never observed.
+    Auth,
+    /// Search portals (Find-Friends, graph search).
     Search,
     Profile,
+    /// Friend lists and circles pages.
     FriendList,
     Message,
-}
-
-fn route_class(route: &str) -> Option<RouteClass> {
-    match route {
-        "/find-friends" | "/graph-search" => Some(RouteClass::Search),
-        "/profile/:uid" => Some(RouteClass::Profile),
-        "/friends/:uid" | "/circles/:uid" => Some(RouteClass::FriendList),
-        "/message/:uid" => Some(RouteClass::Message),
-        _ => None,
-    }
 }
 
 fn splitmix64(mut z: u64) -> u64 {
@@ -335,6 +330,7 @@ impl SessionState {
             }
             RouteClass::FriendList => self.friend_lists += 1,
             RouteClass::Message => self.messages += 1,
+            RouteClass::Auth => unreachable!("auth traffic is never observed"),
         }
         if let Some(last) = self.last_ms {
             let gap = now_ms.saturating_sub(last);
@@ -489,10 +485,12 @@ impl SybilDetector {
 
     /// Observe one request *before* it is handled and decide what to do
     /// with it. Must be called on the platform's request path for every
-    /// instrumented route; unobservable traffic (no session) passes.
-    pub fn observe(&self, route: &str, req: &Request, now_ms: u64) -> Verdict {
+    /// instrumented route; unobservable traffic (auth, no session) passes.
+    pub fn observe(&self, class: RouteClass, req: &Request, now_ms: u64) -> Verdict {
         let Some(profile) = self.profile else { return Verdict::Allow };
-        let Some(class) = route_class(route) else { return Verdict::Allow };
+        if class == RouteClass::Auth {
+            return Verdict::Allow;
+        }
         let Some(key) = session_key(req) else { return Verdict::Allow };
         let metrics = self.metrics.as_ref().expect("enabled detector has metrics");
         let mut sessions = self.sessions.lock();
@@ -645,7 +643,7 @@ mod tests {
         (0..n)
             .map(|i| {
                 let req = profile_req(sid, start_uid + i);
-                det.observe("/profile/:uid", &req, (start_uid + i) * 1_500)
+                det.observe(RouteClass::Profile, &req, (start_uid + i) * 1_500)
             })
             .collect()
     }
@@ -656,7 +654,7 @@ mod tests {
         let det = SybilDetector::new(DefenseConfig::default(), &reg);
         assert!(!det.enabled());
         for i in 0..500 {
-            let v = det.observe("/profile/:uid", &profile_req(0, i), i * 10);
+            let v = det.observe(RouteClass::Profile, &profile_req(0, i), i * 10);
             assert_eq!(v, Verdict::Allow);
         }
         assert_eq!(det.sessions_observed(0), 0, "Off must keep no state");
@@ -681,7 +679,7 @@ mod tests {
         let det = detector(DetectorStrength::High);
         let mut seen = vec![Tier::None];
         for i in 0..400u64 {
-            det.observe("/profile/:uid", &profile_req(0, i), i * 1_500);
+            det.observe(RouteClass::Profile, &profile_req(0, i), i * 1_500);
             let tier = det.session(1).unwrap().tier;
             if *seen.last().unwrap() != tier {
                 seen.push(tier);
@@ -742,7 +740,7 @@ mod tests {
         let verdicts: Vec<_> = (0..27)
             .map(|i| {
                 det.observe(
-                    "/find-friends",
+                    RouteClass::Search,
                     &Request::get(format!("/find-friends?page={i}"))
                         .header("Cookie", "sid=sid-0-tok"),
                     i * 1_500,
@@ -784,7 +782,7 @@ mod tests {
             }
             for &(sid, i) in order {
                 let t = per_account.get_mut(&sid).unwrap();
-                det.observe("/profile/:uid", &profile_req(sid, i), *t * 1_500);
+                det.observe(RouteClass::Profile, &profile_req(sid, i), *t * 1_500);
                 *t += 1;
             }
         };
@@ -803,7 +801,8 @@ mod tests {
     fn sessions_without_sid_are_not_observed() {
         let det = detector(DetectorStrength::High);
         for i in 0..100u64 {
-            let v = det.observe("/profile/:uid", &Request::get(format!("/profile/u{i}")), i * 10);
+            let v =
+                det.observe(RouteClass::Profile, &Request::get(format!("/profile/u{i}")), i * 10);
             assert_eq!(v, Verdict::Allow);
         }
         assert_eq!(det.sessions_observed(0), 0);
@@ -818,7 +817,7 @@ mod tests {
         for i in 0..300u64 {
             // Irregular slow gaps (5s..35s) and a pool of 12 friends.
             t += 5_000 + splitmix64(i) % 30_000;
-            let v = det.observe("/profile/:uid", &profile_req(0, i % 12), t);
+            let v = det.observe(RouteClass::Profile, &profile_req(0, i % 12), t);
             assert_eq!(v, Verdict::Allow, "human-ish browsing got punished at request {i}");
         }
         assert!(!det.session(1).unwrap().flagged);
@@ -834,7 +833,7 @@ mod tests {
         let mut t = 0u64;
         for i in 0..30u64 {
             t += 5_000 + splitmix64(i) % 30_000;
-            det.observe("/message/:uid", &req(i), t);
+            det.observe(RouteClass::Message, &req(i), t);
             det.observe_message_outcome(&req(i), true);
         }
         let with_denials = det.session(1).unwrap().score_pm();
@@ -842,7 +841,7 @@ mod tests {
         let mut t = 0u64;
         for i in 0..30u64 {
             t += 5_000 + splitmix64(i) % 30_000;
-            det2.observe("/message/:uid", &req(i), t);
+            det2.observe(RouteClass::Message, &req(i), t);
             det2.observe_message_outcome(&req(i), false);
         }
         let without = det2.session(1).unwrap().score_pm();

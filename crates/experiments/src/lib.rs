@@ -20,7 +20,7 @@ pub mod tablefmt;
 pub mod trace_audit;
 
 pub use ctx::Ctx;
-pub use report::ExperimentReport;
+pub use report::{append_bench_rows, ExperimentReport};
 pub use runner::{full_attack, AttackRun, Lab};
 pub use trace_audit::{audit_trace, TraceAudit};
 

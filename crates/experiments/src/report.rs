@@ -1,6 +1,8 @@
-//! Experiment output container.
+//! Experiment output container, and the BENCH row writer every
+//! benchmark example shares.
 
 use serde::Serialize;
+use serde_json::Value;
 
 /// One experiment's rendered output plus a JSON artifact.
 #[derive(Clone, Debug, Serialize)]
@@ -22,5 +24,50 @@ impl ExperimentReport {
     /// Full printable block.
     pub fn printable(&self) -> String {
         format!("==== {} — {} ====\n{}\n", self.id.to_uppercase(), self.title, self.text)
+    }
+}
+
+/// Append `rows` to the JSON array in the BENCH file at `path` (a
+/// missing or unparsable file starts a new array) and rewrite the file
+/// pretty-printed. A BENCH row is a record, not a gate: a file that
+/// holds something other than an array is left alone, and a failed
+/// write is reported, never fatal.
+pub fn append_bench_rows(path: &str, rows: Vec<Value>) {
+    let existing = std::fs::read_to_string(path).ok().and_then(|s| serde_json::from_str(&s).ok());
+    let Value::Array(mut runs) = existing.unwrap_or(Value::Array(Vec::new())) else {
+        eprintln!("[bench] {path} does not hold a JSON array; {} row(s) not written", rows.len());
+        return;
+    };
+    let n = rows.len();
+    runs.extend(rows);
+    let written = serde_json::to_string_pretty(&Value::Array(runs))
+        .map_err(|e| e.to_string())
+        .and_then(|body| std::fs::write(path, body).map_err(|e| e.to_string()));
+    match written {
+        Ok(()) => eprintln!("[bench] appended {n} row(s) to {path}"),
+        Err(e) => eprintln!("[bench] could not write {path}: {e}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bench_rows_append_to_an_array_and_leave_other_files_alone() {
+        let dir = std::env::temp_dir().join(format!("hsp-bench-rows-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_test.json");
+        let path = path.to_str().unwrap();
+        append_bench_rows(path, vec![serde_json::json!({ "bench": "a", "n": 1 })]);
+        append_bench_rows(path, vec![serde_json::json!({ "bench": "b" }), serde_json::json!({})]);
+        let runs: Value = serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let runs = runs.as_array().unwrap();
+        assert_eq!(runs.len(), 3);
+        assert_eq!(runs[0].get("bench").and_then(|b| b.as_str()), Some("a"));
+        std::fs::write(path, "{\"not\": \"an array\"}").unwrap();
+        append_bench_rows(path, vec![serde_json::json!({})]);
+        assert_eq!(std::fs::read_to_string(path).unwrap(), "{\"not\": \"an array\"}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

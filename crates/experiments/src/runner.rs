@@ -9,10 +9,12 @@ use hsp_core::{
     evaluate, run_basic, run_enhanced, AttackConfig, Discovery, EnhanceOptions, Enhanced,
     EvalPoint, GroundTruth,
 };
-use hsp_crawler::{AccountSeat, AdaptiveStrategy, Crawler, OsnAccess, ParallelCrawler, Politeness};
+use hsp_crawler::{
+    AccountSeat, AdaptiveStrategy, Crawler, CrawlerBuilder, OsnAccess, ParallelCrawler, Politeness,
+};
 use hsp_http::{
-    ChaosPlan, ChaosStats, ChaosTransport, Client, DirectExchange, Handler, ResilientExchange,
-    RetryPolicy, RetryStats, Server, ServerConfig,
+    ChaosPlan, ChaosStats, ChaosTransport, Client, DirectExchange, Exchange, Handler,
+    ResilientExchange, RetryPolicy, RetryStats, Server, ServerConfig,
 };
 use hsp_obs::{Registry, SpanGuard, VirtualClock};
 use hsp_platform::{DefenseConfig, FaultPlan, MutationPlan, Platform, PlatformConfig};
@@ -220,41 +222,7 @@ impl Lab {
     /// crawler recruits replacement accounts on suspension (the paper's
     /// 2→4→8 escalation). Fully deterministic for a fixed `seed`.
     pub fn resilient_crawler(&self, accounts: usize, label: &str, seed: u64) -> Box<dyn OsnAccess> {
-        let clock = Arc::clone(&self.platform.clock);
-        let stats = Arc::new(RetryStats::default());
-        let wrap = {
-            let handler = self.handler.clone();
-            let clock = Arc::clone(&clock);
-            let stats = Arc::clone(&stats);
-            let tracer = Arc::clone(self.obs.tracer());
-            move |i: u64| {
-                ResilientExchange::with_stats(
-                    DirectExchange::new(handler.clone()),
-                    RetryPolicy::seeded(seed ^ i),
-                    Arc::clone(&clock),
-                    Arc::clone(&stats),
-                )
-                .with_tracer(Arc::clone(&tracer))
-            }
-        };
-        let exchanges: Vec<_> = (0..accounts as u64).map(&wrap).collect();
-        let mut next = accounts as u64;
-        let factory = {
-            let wrap = wrap;
-            move || {
-                next += 1;
-                wrap(next)
-            }
-        };
-        Box::new(
-            Crawler::builder(label)
-                .observability(&self.obs)
-                .clock(clock)
-                .retry_stats(stats)
-                .recruit_with(factory, 8)
-                .build(exchanges)
-                .expect("resilient crawler setup"),
-        )
+        Box::new(self.serial_fleet(accounts, label, seed, 8, self.direct_transport(), |b| b).0)
     }
 
     /// [`Lab::resilient_crawler`] with caller-specified politeness —
@@ -268,42 +236,9 @@ impl Lab {
         seed: u64,
         politeness: Politeness,
     ) -> Box<dyn OsnAccess> {
-        let clock = Arc::clone(&self.platform.clock);
-        let stats = Arc::new(RetryStats::default());
-        let wrap = {
-            let handler = self.handler.clone();
-            let clock = Arc::clone(&clock);
-            let stats = Arc::clone(&stats);
-            let tracer = Arc::clone(self.obs.tracer());
-            move |i: u64| {
-                ResilientExchange::with_stats(
-                    DirectExchange::new(handler.clone()),
-                    RetryPolicy::seeded(seed ^ i),
-                    Arc::clone(&clock),
-                    Arc::clone(&stats),
-                )
-                .with_tracer(Arc::clone(&tracer))
-            }
-        };
-        let exchanges: Vec<_> = (0..accounts as u64).map(&wrap).collect();
-        let mut next = accounts as u64;
-        let factory = {
-            let wrap = wrap;
-            move || {
-                next += 1;
-                wrap(next)
-            }
-        };
-        Box::new(
-            Crawler::builder(label)
-                .observability(&self.obs)
-                .clock(clock)
-                .retry_stats(stats)
-                .politeness(politeness)
-                .recruit_with(factory, 8)
-                .build(exchanges)
-                .expect("paced crawler setup"),
-        )
+        let transport = self.direct_transport();
+        let tune = |b: CrawlerBuilder<_>| b.politeness(politeness);
+        Box::new(self.serial_fleet(accounts, label, seed, 8, transport, tune).0)
     }
 
     /// The arms-race attacker: [`Lab::resilient_crawler`] with a deeper
@@ -321,41 +256,12 @@ impl Lab {
         seed: u64,
         adaptive: Option<AdaptiveStrategy>,
     ) -> Box<dyn OsnAccess> {
-        let clock = Arc::clone(&self.platform.clock);
-        let stats = Arc::new(RetryStats::default());
-        let wrap = {
-            let handler = self.handler.clone();
-            let clock = Arc::clone(&clock);
-            let stats = Arc::clone(&stats);
-            let tracer = Arc::clone(self.obs.tracer());
-            move |i: u64| {
-                ResilientExchange::with_stats(
-                    DirectExchange::new(handler.clone()),
-                    RetryPolicy::seeded(seed ^ i),
-                    Arc::clone(&clock),
-                    Arc::clone(&stats),
-                )
-                .with_tracer(Arc::clone(&tracer))
-            }
+        let transport = self.direct_transport();
+        let tune = |b: CrawlerBuilder<_>| match adaptive {
+            Some(strategy) => b.adaptive(strategy),
+            None => b,
         };
-        let exchanges: Vec<_> = (0..accounts as u64).map(&wrap).collect();
-        let mut next = accounts as u64;
-        let factory = {
-            let wrap = wrap;
-            move || {
-                next += 1;
-                wrap(next)
-            }
-        };
-        let mut builder = Crawler::builder(label)
-            .observability(&self.obs)
-            .clock(clock)
-            .retry_stats(stats)
-            .recruit_with(factory, 64);
-        if let Some(strategy) = adaptive {
-            builder = builder.adaptive(strategy);
-        }
-        Box::new(builder.build(exchanges).expect("arms-race crawler setup"))
+        Box::new(self.serial_fleet(accounts, label, seed, 64, transport, tune).0)
     }
 
     /// [`Lab::resilient_crawler`] with a deterministic [`ChaosTransport`]
@@ -400,7 +306,7 @@ impl Lab {
     }
 
     #[allow(clippy::type_complexity)]
-    fn chaos_crawler_with<T: hsp_http::Exchange + 'static>(
+    fn chaos_crawler_with<T: Exchange + 'static>(
         &self,
         accounts: usize,
         label: &str,
@@ -408,49 +314,77 @@ impl Lab {
         plan: &ChaosPlan,
         transport: impl Fn() -> T + 'static,
     ) -> (Crawler<ResilientExchange<ChaosTransport<T>>>, Arc<ChaosStats>, Arc<RetryStats>) {
-        let clock = Arc::clone(&self.platform.clock);
         let chaos_stats = Arc::new(ChaosStats::default());
-        let retry_stats = Arc::new(RetryStats::default());
-        let wrap = {
+        let chaotic = {
             let plan = plan.clone();
-            let clock = Arc::clone(&clock);
+            let clock = Arc::clone(&self.platform.clock);
             let chaos_stats = Arc::clone(&chaos_stats);
-            let retry_stats = Arc::clone(&retry_stats);
             let tracer = Arc::clone(self.obs.tracer());
             move |i: u64| {
-                let chaotic = ChaosTransport::with_stats(
+                ChaosTransport::with_stats(
                     transport(),
                     plan.with_seed(plan.seed ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
                     Arc::clone(&clock),
                     Arc::clone(&chaos_stats),
                 )
-                .with_tracer(Arc::clone(&tracer));
+                .with_tracer(Arc::clone(&tracer))
+            }
+        };
+        let (crawler, retry_stats) = self.serial_fleet(accounts, label, seed, 8, chaotic, |b| b);
+        (crawler, chaos_stats, retry_stats)
+    }
+
+    /// A fresh in-process exchange per seat.
+    fn direct_transport(&self) -> impl Fn(u64) -> DirectExchange + 'static {
+        let handler = self.handler.clone();
+        move |_| DirectExchange::new(handler.clone())
+    }
+
+    /// The serial resilient fleet behind every resilient crawler above:
+    /// seat `i` runs `transport(i)` under a [`ResilientExchange`] seeded
+    /// `seed ^ i`, recruits continue at `accounts + 1` (up to
+    /// `max_accounts`), and every seat shares the platform's virtual
+    /// clock and one [`RetryStats`] block, returned alongside. `tune`
+    /// sets the caller's remaining builder knobs.
+    #[allow(clippy::type_complexity)]
+    fn serial_fleet<T: Exchange + 'static>(
+        &self,
+        accounts: usize,
+        label: &str,
+        seed: u64,
+        max_accounts: usize,
+        transport: impl Fn(u64) -> T + 'static,
+        tune: impl FnOnce(CrawlerBuilder<ResilientExchange<T>>) -> CrawlerBuilder<ResilientExchange<T>>,
+    ) -> (Crawler<ResilientExchange<T>>, Arc<RetryStats>) {
+        let clock = Arc::clone(&self.platform.clock);
+        let stats = Arc::new(RetryStats::default());
+        let wrap = {
+            let clock = Arc::clone(&clock);
+            let stats = Arc::clone(&stats);
+            let tracer = Arc::clone(self.obs.tracer());
+            move |i: u64| {
                 ResilientExchange::with_stats(
-                    chaotic,
+                    transport(i),
                     RetryPolicy::seeded(seed ^ i),
                     Arc::clone(&clock),
-                    Arc::clone(&retry_stats),
+                    Arc::clone(&stats),
                 )
                 .with_tracer(Arc::clone(&tracer))
             }
         };
         let exchanges: Vec<_> = (0..accounts as u64).map(&wrap).collect();
         let mut next = accounts as u64;
-        let factory = {
-            let wrap = wrap;
-            move || {
-                next += 1;
-                wrap(next)
-            }
+        let factory = move || {
+            next += 1;
+            wrap(next)
         };
-        let crawler = Crawler::builder(label)
+        let builder = Crawler::builder(label)
             .observability(&self.obs)
             .clock(clock)
-            .retry_stats(Arc::clone(&retry_stats))
-            .recruit_with(factory, 8)
-            .build(exchanges)
-            .expect("chaos crawler setup");
-        (crawler, chaos_stats, retry_stats)
+            .retry_stats(Arc::clone(&stats))
+            .recruit_with(factory, max_accounts);
+        let crawler = tune(builder).build(exchanges).expect("serial crawler setup");
+        (crawler, stats)
     }
 
     /// The parallel attack crawler: the same resilient per-account

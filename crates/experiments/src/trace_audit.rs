@@ -39,7 +39,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use hsp_crawler::Effort;
+use hsp_crawler::{Effort, Endpoint};
+use hsp_http::resilient::REFUSAL_SOURCES;
 use hsp_obs::trace::{SLOT_ATTEMPT_BASE, SLOT_MUTATION, TRACE_SEED};
 use hsp_obs::{Registry, SpanRecord, TraceCtx};
 use hsp_platform::mutations::WORLD_LANE;
@@ -232,7 +233,7 @@ pub fn audit_trace(obs: &Registry, effort: &Effort) -> TraceAudit {
     let platform_ledger =
         |src: &str| snap.counter(&format!("platform_refusals_total{{source=\"{src}\"}}"));
     let mut refusals = Vec::new();
-    for src in ["edge", "fault", "throttle", "shed", "suspension"] {
+    for src in REFUSAL_SOURCES {
         let traced_crawler = if src == "suspension" {
             // Ledgered once per account; a suspended account issues no
             // further requests, so distinct lanes is the account count.
@@ -284,7 +285,7 @@ pub fn audit_trace(obs: &Registry, effort: &Effort) -> TraceAudit {
     // Absorbed on every served non-auth response (enroll/relogin never
     // pay solve time), at the same site the root span is recorded.
     let captchas: Vec<&&SpanRecord> =
-        roots.iter().filter(|s| s.name != "auth" && s.captcha_ms > 0).collect();
+        roots.iter().filter(|s| s.name != Endpoint::Auth.label() && s.captcha_ms > 0).collect();
     let captcha_traced = captchas.len() as u64;
     let captcha_ms_traced: u64 = captchas.iter().map(|s| s.captcha_ms).sum();
     if captcha_traced != effort.captcha_challenges {
@@ -305,18 +306,20 @@ pub fn audit_trace(obs: &Registry, effort: &Effort) -> TraceAudit {
     for s in &roots {
         *endpoints.entry(s.name.clone()).or_insert(0) += 1;
     }
-    let roots_named = |name: &str| endpoints.get(name).copied().unwrap_or(0);
-    let decoys_traced = roots_named("decoy");
+    let roots_named = |e: Endpoint| endpoints.get(e.label()).copied().unwrap_or(0);
+    let decoys_traced = roots_named(Endpoint::Decoy);
     // Fetch iterations bill the effort bucket even when the transport
     // fails outright; messages bill only once a response came back.
-    let message_roots =
-        roots.iter().filter(|s| s.name == "message" && s.outcome != "transport").count() as u64;
+    let message_roots = roots
+        .iter()
+        .filter(|s| s.name == Endpoint::Message.label() && s.outcome != "transport")
+        .count() as u64;
     let buckets: [(&str, u64, u64); 5] = [
-        ("seeds", roots_named("find-friends"), effort.seed_requests),
-        ("profiles", roots_named("profile"), effort.profile_requests),
+        ("seeds", roots_named(Endpoint::Seeds), effort.seed_requests),
+        ("profiles", roots_named(Endpoint::Profile), effort.profile_requests),
         (
             "friend-lists",
-            roots_named("friends") + roots_named("circles"),
+            roots_named(Endpoint::Friends) + roots_named(Endpoint::Circles),
             effort.friend_list_requests,
         ),
         ("messages", message_roots, effort.message_requests),

@@ -143,25 +143,22 @@ pub fn captcha_delay_ms(resp: &Response) -> Option<u64> {
     resp.headers.get(H_CAPTCHA).and_then(|v| v.trim().parse::<u64>().ok())
 }
 
+/// The five-way refusal-provenance taxonomy in precedence order: every
+/// source [`refusal_provenance`] can return, and the `source` label of
+/// the platform's and the crawler's refusal counters.
+pub const REFUSAL_SOURCES: [&str; 5] = ["edge", "fault", "throttle", "shed", "suspension"];
+
 /// Which of the five-way refusal taxonomy a response belongs to:
 /// `edge` (edge token bucket), `fault` (chaos 429), `throttle`
 /// (detector throttle), `shed` (503 + `Retry-After`) or `suspension`
 /// (429 + account-suspended). `None` for anything that is not a
 /// refusal. The 429 precedence mirrors the [`RetryStats`] subsets.
 pub fn refusal_provenance(resp: &Response) -> Option<&'static str> {
-    if is_edge_limited(resp) {
-        Some("edge")
-    } else if is_fault_limited(resp) {
-        Some("fault")
-    } else if is_throttled(resp) {
-        Some("throttle")
-    } else if is_shed(resp) {
-        Some("shed")
-    } else if resp.status.code() == 429 && resp.headers.contains(H_ACCOUNT_SUSPENDED) {
-        Some("suspension")
-    } else {
-        None
-    }
+    let tests: [fn(&Response) -> bool; 5] =
+        [is_edge_limited, is_fault_limited, is_throttled, is_shed, |r| {
+            r.status.code() == 429 && r.headers.contains(H_ACCOUNT_SUSPENDED)
+        }];
+    REFUSAL_SOURCES.into_iter().zip(tests).find(|(_, is)| is(resp)).map(|(source, _)| source)
 }
 
 fn retry_after_ms(resp: &Response) -> Option<u64> {

@@ -6,13 +6,14 @@ use crate::faults::FaultEngine;
 use crate::mutations::{MutationEngine, WorldGen};
 use crate::render;
 use crate::search::SearchIndex;
-use hsp_defense::{session_account_index, SybilDetector, Verdict};
+use hsp_defense::{session_account_index, RouteClass, SybilDetector, Verdict};
 use hsp_graph::{CityId, Network, SchoolId, UserId};
 use hsp_http::resilient::{
     captcha_delay_ms, refusal_provenance, H_ACCOUNT_SUSPENDED, H_ATTEMPT_SEQ, H_CAPTCHA,
     H_RETRY_AFTER, H_SESSION_EXPIRED, H_SUSPENDED, H_THROTTLED, H_TRACE_ID, H_VIRTUAL_NOW,
+    REFUSAL_SOURCES,
 };
-use hsp_http::{request_cookie, Handler, PathParams, Request, Response, Router, Status};
+use hsp_http::{request_cookie, Handler, Method, PathParams, Request, Response, Router, Status};
 use hsp_obs::trace::{SpanRecord, SLOT_SERVER};
 use hsp_obs::{Counter, Registry, RouteMetrics, TraceCtx, VirtualClock};
 use hsp_policy::Policy;
@@ -20,28 +21,41 @@ use serde_json::json;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Application route patterns, in mount order. The `/__metrics` and
-/// `/__status` admin routes are deliberately absent: they belong to the
-/// operator, not the simulated OSN, and are not instrumented (nor do
-/// they touch session state, so they never count toward attacker
-/// effort or suspension accounting).
-pub const ROUTES: &[&str] = &[
-    "/signup",
-    "/login",
-    "/find-friends",
-    "/graph-search",
-    "/profile/:uid",
-    "/friends/:uid",
-    "/message/:uid",
-    "/circles/:uid",
-];
+/// One application route. Its pattern names its per-route metrics
+/// (`http_route_*{route="<pattern>"}`) and its serving span
+/// (`serve:<pattern>`); its class is what the sybil detector observes.
+pub struct Route {
+    pub method: Method,
+    pub pattern: &'static str,
+    pub class: RouteClass,
+    handler: fn(&Platform, &Request, &PathParams) -> Response,
+}
 
-/// The five-way refusal-provenance taxonomy, in precedence order. The
-/// platform itself only ever produces `fault`, `throttle` and
-/// `suspension`; `edge` and `shed` belong to the HTTP edge but are
-/// registered here too so `/__status` reports all five at a stable
-/// shape (zeros included).
-pub const REFUSAL_SOURCES: [&str; 5] = ["edge", "fault", "throttle", "shed", "suspension"];
+const fn route(
+    method: Method,
+    pattern: &'static str,
+    class: RouteClass,
+    handler: fn(&Platform, &Request, &PathParams) -> Response,
+) -> Route {
+    Route { method, pattern, class, handler }
+}
+
+/// The application routes, in mount order; `/__status` reports them in
+/// this order too. The `/__metrics`, `/__status` and `/__trace` admin
+/// routes are deliberately absent: they belong to the operator, not the
+/// simulated OSN, and are not instrumented (nor do they touch session
+/// state, so they never count toward attacker effort or suspension
+/// accounting).
+pub const ROUTES: &[Route] = &[
+    route(Method::Post, "/signup", RouteClass::Auth, Platform::handle_signup),
+    route(Method::Post, "/login", RouteClass::Auth, Platform::handle_login),
+    route(Method::Get, "/find-friends", RouteClass::Search, Platform::handle_find_friends),
+    route(Method::Get, "/graph-search", RouteClass::Search, Platform::handle_graph_search),
+    route(Method::Get, "/profile/:uid", RouteClass::Profile, Platform::handle_profile),
+    route(Method::Get, "/friends/:uid", RouteClass::FriendList, Platform::handle_friends),
+    route(Method::Post, "/message/:uid", RouteClass::Message, Platform::handle_message),
+    route(Method::Get, "/circles/:uid", RouteClass::FriendList, Platform::handle_circles),
+];
 
 /// The simulated OSN service. Immutable network + policy, mutable
 /// account/session state, all behind `Arc` so the same platform can be
@@ -117,20 +131,22 @@ impl Platform {
         })
     }
 
-    /// Wrap a route handler with per-route accounting. Metric handles
-    /// are resolved once here, at router build time; the per-request
-    /// cost is a clock read and a handful of atomic adds.
+    /// Wrap a route's handler with the defense and fault layers and
+    /// per-route accounting. Metric handles are resolved once here, at
+    /// router build time; the per-request cost is a clock read and a
+    /// handful of atomic adds.
     fn instrument(
         self: &Arc<Self>,
-        route: &'static str,
-        f: impl Fn(&Request, &PathParams) -> Response + Send + Sync + 'static,
+        route: &'static Route,
     ) -> impl Fn(&Request, &PathParams) -> Response + Send + Sync + 'static {
-        let m = RouteMetrics::register(&self.obs, route);
+        let m = RouteMetrics::register(&self.obs, route.pattern);
         let faults = Arc::clone(&self.faults);
         let platform = Arc::clone(self);
-        let span_name = format!("serve:{route}");
+        let span_name = format!("serve:{}", route.pattern);
         // Refusal-provenance counters, resolved once at router build
-        // time so every source shows up in /__status even at zero.
+        // time so every source shows up in /__status even at zero. The
+        // platform itself only produces `fault`, `throttle` and
+        // `suspension`; `edge` and `shed` belong to the HTTP edge.
         let refusals: Vec<(&'static str, Arc<Counter>)> = REFUSAL_SOURCES
             .iter()
             .map(|&s| (s, self.obs.counter_with("platform_refusals_total", &[("source", s)])))
@@ -144,7 +160,7 @@ impl Platform {
             // verdict lets the request through but stamps the solve
             // cost on whatever comes back — including fault-injected
             // responses, since a challenged session pays on every page.
-            let verdict = platform.defense.observe(route, req, platform.clock.now_ms());
+            let verdict = platform.defense.observe(route.class, req, platform.clock.now_ms());
             let outcome = match verdict {
                 Verdict::Suspend => "suspend",
                 Verdict::Throttle { .. } => "throttle",
@@ -177,8 +193,8 @@ impl Platform {
                     let resp = match faults.pre(req) {
                         Some(injected) => injected,
                         None => {
-                            let resp = faults.post(req, f(req, params));
-                            if route == "/message/:uid" {
+                            let resp = faults.post(req, (route.handler)(&platform, req, params));
+                            if route.class == RouteClass::Message {
                                 platform
                                     .defense
                                     .observe_message_outcome(req, resp.status == Status::FORBIDDEN);
@@ -243,49 +259,9 @@ impl Platform {
     /// Build the HTTP router over this platform.
     pub fn into_handler(self: &Arc<Self>) -> Arc<dyn Handler> {
         let mut router = Router::new();
-
-        let p = Arc::clone(self);
-        router.post("/signup", self.instrument("/signup", move |req, _| p.handle_signup(req)));
-        let p = Arc::clone(self);
-        router.post("/login", self.instrument("/login", move |req, _| p.handle_login(req)));
-        let p = Arc::clone(self);
-        router.get(
-            "/find-friends",
-            self.instrument("/find-friends", move |req, _| p.handle_find_friends(req)),
-        );
-        let p = Arc::clone(self);
-        router.get(
-            "/graph-search",
-            self.instrument("/graph-search", move |req, _| p.handle_graph_search(req)),
-        );
-        let p = Arc::clone(self);
-        router.get(
-            "/profile/:uid",
-            self.instrument("/profile/:uid", move |req, params| {
-                p.handle_profile(req, params.get("uid"))
-            }),
-        );
-        let p = Arc::clone(self);
-        router.get(
-            "/friends/:uid",
-            self.instrument("/friends/:uid", move |req, params| {
-                p.handle_friends(req, params.get("uid"))
-            }),
-        );
-        let p = Arc::clone(self);
-        router.post(
-            "/message/:uid",
-            self.instrument("/message/:uid", move |req, params| {
-                p.handle_message(req, params.get("uid"))
-            }),
-        );
-        let p = Arc::clone(self);
-        router.get(
-            "/circles/:uid",
-            self.instrument("/circles/:uid", move |req, params| {
-                p.handle_circles(req, params.get("uid"))
-            }),
-        );
+        for route in ROUTES {
+            router.route(route.method, route.pattern, self.instrument(route));
+        }
 
         // Operator-facing admin routes: uninstrumented, session-free.
         let p = Arc::clone(self);
@@ -311,13 +287,13 @@ impl Platform {
     fn handle_status(&self) -> Response {
         let routes: Vec<serde_json::Value> = ROUTES
             .iter()
-            .map(|&route| {
+            .map(|route| {
                 // register() re-resolves the shared handles; cheap, and
                 // only paid on this cold admin path.
-                let m = RouteMetrics::register(&self.obs, route);
+                let m = RouteMetrics::register(&self.obs, route.pattern);
                 let [c2, c3, c4, c5] = m.class_counts();
                 json!({
-                    "route": route,
+                    "route": route.pattern,
                     "requests": m.requests.get(),
                     "status": json!({ "2xx": c2, "3xx": c3, "4xx": c4, "5xx": c5 }),
                     "latency_us": json!({
@@ -471,8 +447,11 @@ impl Platform {
         Ok(index)
     }
 
-    fn parse_user(&self, raw: Option<&str>, net: &Network) -> Result<UserId, Response> {
-        raw.and_then(UserId::parse)
+    /// The `:uid` path parameter as a user of `net`, or a 404.
+    fn parse_user(&self, params: &PathParams, net: &Network) -> Result<UserId, Response> {
+        params
+            .get("uid")
+            .and_then(UserId::parse)
             .filter(|u| u.index() < net.user_count())
             .ok_or_else(|| Response::error(Status::NOT_FOUND, "no such user"))
     }
@@ -497,7 +476,7 @@ impl Platform {
 
     // ---- handlers -----------------------------------------------------------
 
-    fn handle_signup(&self, req: &Request) -> Response {
+    fn handle_signup(&self, req: &Request, _: &PathParams) -> Response {
         let user = req.form_param("user").unwrap_or_default();
         let pass = req.form_param("pass").unwrap_or_default();
         if user.is_empty() || pass.is_empty() {
@@ -512,7 +491,7 @@ impl Platform {
         }
     }
 
-    fn handle_login(&self, req: &Request) -> Response {
+    fn handle_login(&self, req: &Request, _: &PathParams) -> Response {
         let user = req.form_param("user").unwrap_or_default();
         let pass = req.form_param("pass").unwrap_or_default();
         match self.accounts.login(&user, &pass) {
@@ -521,7 +500,7 @@ impl Platform {
         }
     }
 
-    fn handle_find_friends(&self, req: &Request) -> Response {
+    fn handle_find_friends(&self, req: &Request, _: &PathParams) -> Response {
         let account = match self.session_account(req) {
             Ok(a) => a,
             Err(resp) => return resp,
@@ -554,7 +533,7 @@ impl Platform {
         }
     }
 
-    fn handle_graph_search(&self, req: &Request) -> Response {
+    fn handle_graph_search(&self, req: &Request, _: &PathParams) -> Response {
         let account = match self.session_account(req) {
             Ok(a) => a,
             Err(resp) => return resp,
@@ -594,13 +573,13 @@ impl Platform {
         }
     }
 
-    fn handle_profile(&self, req: &Request, uid: Option<&str>) -> Response {
+    fn handle_profile(&self, req: &Request, params: &PathParams) -> Response {
         if let Err(resp) = self.session_account(req) {
             return resp;
         }
         let live = self.live_world(req);
         let net = live.as_ref().map(|w| w.network.as_ref()).unwrap_or(&self.network);
-        let uid = match self.parse_user(uid, net) {
+        let uid = match self.parse_user(params, net) {
             Ok(u) => u,
             Err(resp) => return resp,
         };
@@ -622,13 +601,13 @@ impl Platform {
         Response::html(render::profile_page(&self.network, &view))
     }
 
-    fn handle_friends(&self, req: &Request, uid: Option<&str>) -> Response {
+    fn handle_friends(&self, req: &Request, params: &PathParams) -> Response {
         if let Err(resp) = self.session_account(req) {
             return resp;
         }
         let live = self.live_world(req);
         let net = live.as_ref().map(|w| w.network.as_ref()).unwrap_or(&self.network);
-        let uid = match self.parse_user(uid, net) {
+        let uid = match self.parse_user(params, net) {
             Ok(u) => u,
             Err(resp) => return resp,
         };
@@ -662,11 +641,11 @@ impl Platform {
     /// Google+ circles pages: `?dir=in` ("in your circles", outgoing) or
     /// `?dir=has` ("have you in circles", incoming). 404 on platforms
     /// without circles (the Facebook policy).
-    fn handle_circles(&self, req: &Request, uid: Option<&str>) -> Response {
+    fn handle_circles(&self, req: &Request, params: &PathParams) -> Response {
         if let Err(resp) = self.session_account(req) {
             return resp;
         }
-        let uid = match self.parse_user(uid, &self.network) {
+        let uid = match self.parse_user(params, &self.network) {
             Ok(u) => u,
             Err(resp) => return resp,
         };
@@ -692,13 +671,13 @@ impl Platform {
         Response::html(render::listing_page("circles", &entries, next))
     }
 
-    fn handle_message(&self, req: &Request, uid: Option<&str>) -> Response {
+    fn handle_message(&self, req: &Request, params: &PathParams) -> Response {
         if let Err(resp) = self.session_account(req) {
             return resp;
         }
         let live = self.live_world(req);
         let net = live.as_ref().map(|w| w.network.as_ref()).unwrap_or(&self.network);
-        let uid = match self.parse_user(uid, net) {
+        let uid = match self.parse_user(params, net) {
             Ok(u) => u,
             Err(resp) => return resp,
         };

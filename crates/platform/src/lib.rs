@@ -27,8 +27,8 @@ pub mod render;
 pub mod search;
 
 pub use accounts::{AccountError, Accounts};
-pub use app::{Platform, ROUTES};
+pub use app::{Platform, Route, ROUTES};
 pub use config::PlatformConfig;
 pub use faults::{FaultEngine, FaultPlan};
-pub use hsp_defense::{DefenseConfig, DetectorStrength, SybilDetector};
+pub use hsp_defense::{DefenseConfig, DetectorStrength, RouteClass, SybilDetector};
 pub use mutations::{MutationEngine, MutationEvent, MutationPlan, WorldGen};

@@ -23,6 +23,7 @@
 
 use hs_profiler::core::{evaluate, run_basic, run_enhanced, EnhanceOptions};
 use hs_profiler::crawler::{AdaptiveStrategy, CrawlError, Effort, OsnAccess};
+use hs_profiler::experiments::append_bench_rows;
 use hs_profiler::experiments::runner::Lab;
 use hs_profiler::platform::{DefenseConfig, DetectorStrength};
 use hs_profiler::synth::ScenarioConfig;
@@ -174,53 +175,37 @@ fn gate_frontier(scenario: &str, baseline: &Cell, cells: &[Cell]) {
     );
 }
 
-/// Append the sweep to `<workspace>/BENCH_defense.json` (a JSON array
-/// of run objects; created on first use), mirroring `BENCH_chaos.json`.
-fn append_headline(scenario: &str, cells: &[Cell]) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_defense.json");
-    let mut runs: serde_json::Value = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| serde_json::from_str(&s).ok())
-        .unwrap_or_else(|| serde_json::json!([]));
-    for cell in cells {
-        let mut entry = serde_json::Map::new();
-        entry.insert("bench".into(), format!("arms_race_{scenario}").into());
-        entry.insert("detector".into(), serde_json::Value::from(cell.strength.label()));
-        entry.insert("crawler".into(), serde_json::Value::from(cell.mode));
-        entry.insert("completed".into(), serde_json::Value::from(cell.completed));
-        if let Some(e) = &cell.error {
-            entry.insert("error".into(), serde_json::Value::from(e.as_str()));
-        }
-        entry.insert("found".into(), serde_json::Value::from(cell.found as u64));
-        entry.insert("correct_year".into(), serde_json::Value::from(cell.correct_year as u64));
-        entry
-            .insert("false_positives".into(), serde_json::Value::from(cell.false_positives as u64));
-        entry.insert("sessions_eligible".into(), serde_json::Value::from(cell.sessions_eligible));
-        entry.insert("sessions_flagged".into(), serde_json::Value::from(cell.sessions_flagged));
-        entry.insert("detection_pm".into(), serde_json::Value::from(cell.detection_pm));
-        entry.insert("total_requests".into(), serde_json::Value::from(cell.effort.total()));
-        entry.insert("retries".into(), serde_json::Value::from(cell.effort.retry_requests));
-        entry.insert(
-            "captcha_challenges".into(),
-            serde_json::Value::from(cell.effort.captcha_challenges),
-        );
-        entry.insert(
-            "captcha_virtual_ms".into(),
-            serde_json::Value::from(cell.effort.captcha_virtual_ms),
-        );
-        entry.insert("decoy_requests".into(), serde_json::Value::from(cell.effort.decoy_requests));
-        entry.insert("suspensions".into(), serde_json::Value::from(cell.suspensions));
-        entry.insert("accounts_recruited".into(), serde_json::Value::from(cell.recruited));
-        entry.insert("virtual_minutes".into(), serde_json::Value::from(cell.virtual_minutes));
-        if let Some(arr) = runs.as_array_mut() {
-            arr.push(serde_json::Value::Object(entry));
-        }
+/// One sweep cell's row for `<workspace>/BENCH_defense.json`.
+fn headline_row(scenario: &str, cell: &Cell) -> serde_json::Value {
+    let mut entry = serde_json::Map::new();
+    entry.insert("bench".into(), format!("arms_race_{scenario}").into());
+    entry.insert("detector".into(), serde_json::Value::from(cell.strength.label()));
+    entry.insert("crawler".into(), serde_json::Value::from(cell.mode));
+    entry.insert("completed".into(), serde_json::Value::from(cell.completed));
+    if let Some(e) = &cell.error {
+        entry.insert("error".into(), serde_json::Value::from(e.as_str()));
     }
-    if let Ok(body) = serde_json::to_string_pretty(&runs) {
-        if std::fs::write(path, body).is_ok() {
-            eprintln!("[arms-race] appended {} rows to BENCH_defense.json", cells.len());
-        }
-    }
+    entry.insert("found".into(), serde_json::Value::from(cell.found as u64));
+    entry.insert("correct_year".into(), serde_json::Value::from(cell.correct_year as u64));
+    entry.insert("false_positives".into(), serde_json::Value::from(cell.false_positives as u64));
+    entry.insert("sessions_eligible".into(), serde_json::Value::from(cell.sessions_eligible));
+    entry.insert("sessions_flagged".into(), serde_json::Value::from(cell.sessions_flagged));
+    entry.insert("detection_pm".into(), serde_json::Value::from(cell.detection_pm));
+    entry.insert("total_requests".into(), serde_json::Value::from(cell.effort.total()));
+    entry.insert("retries".into(), serde_json::Value::from(cell.effort.retry_requests));
+    entry.insert(
+        "captcha_challenges".into(),
+        serde_json::Value::from(cell.effort.captcha_challenges),
+    );
+    entry.insert(
+        "captcha_virtual_ms".into(),
+        serde_json::Value::from(cell.effort.captcha_virtual_ms),
+    );
+    entry.insert("decoy_requests".into(), serde_json::Value::from(cell.effort.decoy_requests));
+    entry.insert("suspensions".into(), serde_json::Value::from(cell.suspensions));
+    entry.insert("accounts_recruited".into(), serde_json::Value::from(cell.recruited));
+    entry.insert("virtual_minutes".into(), serde_json::Value::from(cell.virtual_minutes));
+    serde_json::Value::Object(entry)
 }
 
 fn main() {
@@ -282,5 +267,6 @@ fn main() {
         .expect("high/adaptive cell");
     assert_eq!(*first, replay, "[{scenario}] arms-race rows must be deterministic per seed");
     println!("[arms-race] gates passed: off==baseline, monotone frontier, high/naive >=500permille, deterministic replay");
-    append_headline(&scenario, &cells);
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_defense.json");
+    append_bench_rows(path, cells.iter().map(|cell| headline_row(&scenario, cell)).collect());
 }

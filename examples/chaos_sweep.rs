@@ -13,6 +13,7 @@
 
 use hs_profiler::core::{evaluate, run_basic, run_enhanced, Completeness, EnhanceOptions};
 use hs_profiler::crawler::{CrawlError, OsnAccess};
+use hs_profiler::experiments::append_bench_rows;
 use hs_profiler::experiments::runner::Lab;
 use hs_profiler::platform::FaultPlan;
 use hs_profiler::synth::ScenarioConfig;
@@ -76,43 +77,28 @@ fn sweep_point(factor: f64) -> SweepRow {
     }
 }
 
-/// Append the sweep to `<workspace>/BENCH_chaos.json` (a JSON array of
-/// run objects; created on first use), mirroring `BENCH_obs.json`.
-fn append_headline(rows: &[SweepRow]) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_chaos.json");
-    let mut runs: serde_json::Value = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| serde_json::from_str(&s).ok())
-        .unwrap_or_else(|| serde_json::json!([]));
-    for row in rows {
-        let mut entry = serde_json::Map::new();
-        entry.insert("bench".into(), serde_json::Value::from("chaos_hs1"));
-        entry.insert("fault_factor".into(), serde_json::Value::from(row.factor));
-        entry.insert("completed".into(), serde_json::Value::from(row.completed));
-        if let Some(e) = &row.error {
-            entry.insert("error".into(), serde_json::Value::from(e.as_str()));
-        }
-        entry.insert("found".into(), serde_json::Value::from(row.found as u64));
-        entry.insert("correct_year".into(), serde_json::Value::from(row.correct_year as u64));
-        entry.insert("false_positives".into(), serde_json::Value::from(row.false_positives as u64));
-        entry.insert("total_requests".into(), serde_json::Value::from(row.total_requests));
-        entry.insert("retries".into(), serde_json::Value::from(row.retries));
-        entry.insert("suspensions".into(), serde_json::Value::from(row.suspensions));
-        entry.insert("accounts_recruited".into(), serde_json::Value::from(row.recruited));
-        entry.insert(
-            "partial_friend_lists".into(),
-            serde_json::Value::from(row.partial_friend_lists as u64),
-        );
-        entry.insert("virtual_minutes".into(), serde_json::Value::from(row.virtual_minutes));
-        if let Some(arr) = runs.as_array_mut() {
-            arr.push(serde_json::Value::Object(entry));
-        }
+/// The sweep's row for `<workspace>/BENCH_chaos.json`.
+fn headline_row(row: &SweepRow) -> serde_json::Value {
+    let mut entry = serde_json::Map::new();
+    entry.insert("bench".into(), serde_json::Value::from("chaos_hs1"));
+    entry.insert("fault_factor".into(), serde_json::Value::from(row.factor));
+    entry.insert("completed".into(), serde_json::Value::from(row.completed));
+    if let Some(e) = &row.error {
+        entry.insert("error".into(), serde_json::Value::from(e.as_str()));
     }
-    if let Ok(body) = serde_json::to_string_pretty(&runs) {
-        if std::fs::write(path, body).is_ok() {
-            eprintln!("[chaos] appended {} rows to BENCH_chaos.json", rows.len());
-        }
-    }
+    entry.insert("found".into(), serde_json::Value::from(row.found as u64));
+    entry.insert("correct_year".into(), serde_json::Value::from(row.correct_year as u64));
+    entry.insert("false_positives".into(), serde_json::Value::from(row.false_positives as u64));
+    entry.insert("total_requests".into(), serde_json::Value::from(row.total_requests));
+    entry.insert("retries".into(), serde_json::Value::from(row.retries));
+    entry.insert("suspensions".into(), serde_json::Value::from(row.suspensions));
+    entry.insert("accounts_recruited".into(), serde_json::Value::from(row.recruited));
+    entry.insert(
+        "partial_friend_lists".into(),
+        serde_json::Value::from(row.partial_friend_lists as u64),
+    );
+    entry.insert("virtual_minutes".into(), serde_json::Value::from(row.virtual_minutes));
+    serde_json::Value::Object(entry)
 }
 
 fn main() {
@@ -151,5 +137,6 @@ fn main() {
         }
         rows.push(row);
     }
-    append_headline(&rows);
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_chaos.json");
+    append_bench_rows(path, rows.iter().map(headline_row).collect());
 }

@@ -38,7 +38,7 @@ use hs_profiler::experiments::crash_lab::{
     baseline_on, crash_lab, killed_and_resumed_on, CRASH_ACCOUNTS, CRASH_MAX_ACCOUNTS,
     CRASH_SYNC_EVERY,
 };
-use hs_profiler::experiments::Ctx;
+use hs_profiler::experiments::{append_bench_rows, Ctx};
 use hs_profiler::http::{Client, ResilientExchange, RetryPolicy, RetryStats};
 use hs_profiler::obs::VirtualClock;
 use hs_profiler::synth::{generate, Scenario};
@@ -319,20 +319,6 @@ fn child_json(out: &std::process::Output) -> serde_json::Value {
     serde_json::from_str(line).expect("child result parses")
 }
 
-fn append_headline(row: serde_json::Value) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_crash.json");
-    let mut runs: serde_json::Value = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| serde_json::from_str(&s).ok())
-        .unwrap_or_else(|| serde_json::json!([]));
-    runs.as_array_mut().expect("array").push(row);
-    if let Ok(body) = serde_json::to_string_pretty(&runs) {
-        if std::fs::write(path, body).is_ok() {
-            eprintln!("[crash] appended 1 row to BENCH_crash.json");
-        }
-    }
-}
-
 fn main() {
     if std::env::var("CRASH_CHILD").is_ok() {
         child_main();
@@ -548,7 +534,7 @@ fn main() {
     );
 
     // ---- 5. headline row + gate ----
-    append_headline(serde_json::json!({
+    let row = serde_json::json!({
         "bench": "crash",
         "config": cfg_name,
         "smoke": smoke,
@@ -570,7 +556,8 @@ fn main() {
         "process_resume_recovery_us": field(&r, "recovery_us"),
         "process_resume_bit_identical": true,
         "found": yardstick.found,
-    }));
+    });
+    append_bench_rows(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_crash.json"), vec![row]);
     if smoke {
         println!(
             "crash smoke complete: direct journal cost {direct_pct:.2}% of attack wall \

@@ -15,6 +15,7 @@
 //! the box, not the scheduler — and it is bit-reproducible, so the
 //! speedup claim is too.
 
+use hs_profiler::experiments::append_bench_rows;
 use hs_profiler::experiments::runner::{full_attack_with, Lab};
 use hs_profiler::synth::{generate_sharded, ScenarioConfig};
 use std::time::Instant;
@@ -77,17 +78,16 @@ fn synth_point(cfg: &ScenarioConfig, threads: usize) -> SynthRow {
     }
 }
 
-/// Append the run to `<workspace>/BENCH_crawl.json` (a JSON array of
-/// row objects; created on first use), mirroring `BENCH_chaos.json`.
-fn append_headline(school: &str, crawl: &[CrawlRow], synth: &[SynthRow], speedup: f64) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_crawl.json");
-    let mut runs: serde_json::Value = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| serde_json::from_str(&s).ok())
-        .unwrap_or_else(|| serde_json::json!([]));
-    let Some(arr) = runs.as_array_mut() else { return };
+/// The run's rows for `<workspace>/BENCH_crawl.json`.
+fn headline_rows(
+    school: &str,
+    crawl: &[CrawlRow],
+    synth: &[SynthRow],
+    speedup: f64,
+) -> Vec<serde_json::Value> {
+    let mut rows = Vec::new();
     for row in crawl {
-        arr.push(serde_json::json!({
+        rows.push(serde_json::json!({
             "bench": "crawl_attack",
             "school": school,
             "workers": row.workers as u64,
@@ -99,7 +99,7 @@ fn append_headline(school: &str, crawl: &[CrawlRow], synth: &[SynthRow], speedup
         }));
     }
     for row in synth {
-        arr.push(serde_json::json!({
+        rows.push(serde_json::json!({
             "bench": "synth_build",
             "school": school,
             "threads": row.threads as u64,
@@ -109,20 +109,13 @@ fn append_headline(school: &str, crawl: &[CrawlRow], synth: &[SynthRow], speedup
             "fingerprint": format!("{:#018x}", row.fingerprint),
         }));
     }
-    arr.push(serde_json::json!({
+    rows.push(serde_json::json!({
         "bench": "crawl_speedup",
         "school": school,
         "workers": 8u64,
         "modeled_speedup": speedup,
     }));
-    if let Ok(body) = serde_json::to_string_pretty(&runs) {
-        if std::fs::write(path, body).is_ok() {
-            eprintln!(
-                "[crawl_bench] appended {} rows to BENCH_crawl.json",
-                crawl.len() + synth.len() + 1
-            );
-        }
-    }
+    rows
 }
 
 fn main() {
@@ -167,7 +160,8 @@ fn main() {
     }
     println!("synth fingerprint identical at all thread counts: {:#018x}", synth[0].fingerprint);
 
-    append_headline(school, &crawl, &synth, speedup);
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_crawl.json");
+    append_bench_rows(path, headline_rows(school, &crawl, &synth, speedup));
 
     if !smoke {
         assert!(speedup >= 3.0, "expected ≥3x modeled speedup at 8 workers, got {speedup:.2}x");

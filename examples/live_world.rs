@@ -23,6 +23,7 @@
 //!   virtual time makes the schedule worker-count invariant).
 
 use hs_profiler::crawler::{Effort, Politeness};
+use hs_profiler::experiments::append_bench_rows;
 use hs_profiler::experiments::runner::{full_attack_with, AttackRun, Lab};
 use hs_profiler::experiments::trace_audit::audit_trace;
 use hs_profiler::platform::{DefenseConfig, DetectorStrength, FaultPlan, PlatformConfig};
@@ -198,42 +199,26 @@ fn parallel_replay_fingerprint(workers: usize) -> (String, Effort, u64, u64) {
     )
 }
 
-/// Append the sweep to `<workspace>/BENCH_live.json` (a JSON array of
-/// run objects; created on first use), mirroring `BENCH_defense.json`.
-fn append_headline(scenario: &str, cells: &[Cell]) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_live.json");
-    let mut runs: serde_json::Value = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| serde_json::from_str(&s).ok())
-        .unwrap_or_else(|| serde_json::json!([]));
-    for cell in cells {
-        let entry = serde_json::json!({
-            "bench": format!("live_world_{scenario}"),
-            "churn_factor": cell.factor,
-            "pace": cell.pace,
-            "pace_ms": cell.pace_ms,
-            "found": cell.found as u64,
-            "correct_year": cell.correct_year as u64,
-            "false_positives": cell.false_positives as u64,
-            "mutations_applied": cell.mutations_applied as u64,
-            "mutations_scheduled": cell.mutations_scheduled as u64,
-            "mutation_state_digest": format!("{:016x}", cell.state_digest),
-            "trace_digest": cell.trace_digest,
-            "total_requests": cell.effort.total(),
-            "stale_refetches": cell.effort.stale_refetch_requests,
-            "tombstones": cell.effort.tombstones,
-            "retries": cell.effort.retry_requests,
-            "virtual_minutes": cell.virtual_minutes,
-        });
-        if let Some(arr) = runs.as_array_mut() {
-            arr.push(entry);
-        }
-    }
-    if let Ok(body) = serde_json::to_string_pretty(&runs) {
-        if std::fs::write(path, body).is_ok() {
-            eprintln!("[live-world] appended {} rows to BENCH_live.json", cells.len());
-        }
-    }
+/// One sweep cell's row for `<workspace>/BENCH_live.json`.
+fn headline_row(scenario: &str, cell: &Cell) -> serde_json::Value {
+    serde_json::json!({
+        "bench": format!("live_world_{scenario}"),
+        "churn_factor": cell.factor,
+        "pace": cell.pace,
+        "pace_ms": cell.pace_ms,
+        "found": cell.found as u64,
+        "correct_year": cell.correct_year as u64,
+        "false_positives": cell.false_positives as u64,
+        "mutations_applied": cell.mutations_applied as u64,
+        "mutations_scheduled": cell.mutations_scheduled as u64,
+        "mutation_state_digest": format!("{:016x}", cell.state_digest),
+        "trace_digest": cell.trace_digest,
+        "total_requests": cell.effort.total(),
+        "stale_refetches": cell.effort.stale_refetch_requests,
+        "tombstones": cell.effort.tombstones,
+        "retries": cell.effort.retry_requests,
+        "virtual_minutes": cell.virtual_minutes,
+    })
 }
 
 fn main() {
@@ -297,5 +282,6 @@ fn main() {
         "[live-world] gates passed: zero-rate==frozen, closed audits, monotone+non-vacuous \
          mutations, deterministic replay, 1==8 workers under chaos+detector+churn"
     );
-    append_headline(&scenario, &cells);
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_live.json");
+    append_bench_rows(path, cells.iter().map(|cell| headline_row(&scenario, cell)).collect());
 }

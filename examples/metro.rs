@@ -16,6 +16,7 @@
 //!   kernels that don't report a high-water mark);
 //! - per-school attack results identical at 1 and 8 workers.
 
+use hs_profiler::experiments::append_bench_rows;
 use hs_profiler::experiments::metro_lab::{MetroLab, SchoolOutcome};
 use hs_profiler::obs::read_memory;
 use hs_profiler::synth::{metro_sharded, MetroConfig};
@@ -32,21 +33,6 @@ fn run_attack(lab: &MetroLab, workers: usize, school_threads: usize) -> (Vec<Sch
     let started = Instant::now();
     let outcomes = lab.city_attack(workers, school_threads, SEED);
     (outcomes, started.elapsed().as_secs_f64())
-}
-
-fn append_headline(row: serde_json::Value) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_metro.json");
-    let mut runs: serde_json::Value = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| serde_json::from_str(&s).ok())
-        .unwrap_or_else(|| serde_json::json!([]));
-    let Some(arr) = runs.as_array_mut() else { return };
-    arr.push(row);
-    if let Ok(body) = serde_json::to_string_pretty(&runs) {
-        if std::fs::write(path, body).is_ok() {
-            eprintln!("[metro] appended 1 row to BENCH_metro.json");
-        }
-    }
 }
 
 fn main() {
@@ -139,7 +125,7 @@ fn main() {
         );
     }
 
-    append_headline(serde_json::json!({
+    let row = serde_json::json!({
         "bench": "metro",
         "config": label,
         "users": users as u64,
@@ -163,7 +149,8 @@ fn main() {
         "students_found": exposure.students_found as u64,
         "pct_found": exposure.pct_found(),
         "deterministic": true,
-    }));
+    });
+    append_bench_rows(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_metro.json"), vec![row]);
 
     if !smoke {
         assert!(users >= 1_000_000, "metro world must have >=1M users, got {users}");

@@ -39,7 +39,8 @@
 //! ledgers, safety — rather than byte-identical telemetry.
 
 use hs_profiler::core::{evaluate, run_basic, run_enhanced, EnhanceOptions, EvalPoint};
-use hs_profiler::crawler::OsnAccess;
+use hs_profiler::crawler::{Endpoint, OsnAccess};
+use hs_profiler::experiments::append_bench_rows;
 use hs_profiler::experiments::runner::{full_attack, Lab};
 use hs_profiler::http::{
     is_edge_limited, is_shed, ChaosPlan, Client, Exchange, RateLimit, Request, ServerConfig,
@@ -330,10 +331,10 @@ fn soak_seed(cfg: &ScenarioConfig, seed: u64, base: &Baseline, smoke: bool) -> S
     // Effort buckets ≡ the crawler's own observability counters.
     let fetch = |e: &str| snap.counter(&format!("crawler_fetch_total{{endpoint=\"{e}\"}}"));
     let pairs = [
-        ("auth", effort.auth_requests),
-        ("find-friends", effort.seed_requests),
-        ("profile", effort.profile_requests),
-        ("message", effort.message_requests),
+        (Endpoint::Auth.label(), effort.auth_requests),
+        (Endpoint::Seeds.label(), effort.seed_requests),
+        (Endpoint::Profile.label(), effort.profile_requests),
+        (Endpoint::Message.label(), effort.message_requests),
         ("retry", effort.retry_requests),
     ];
     for (endpoint, bucket) in pairs {
@@ -459,52 +460,36 @@ fn soak_seed(cfg: &ScenarioConfig, seed: u64, base: &Baseline, smoke: bool) -> S
     }
 }
 
-/// Append one row per seed to `<workspace>/BENCH_soak.json`, mirroring
-/// the other BENCH files (a JSON array of run objects).
-fn append_bench(rows: &[SeedReport], scenario: &str) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_soak.json");
-    let mut runs: serde_json::Value = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| serde_json::from_str(&s).ok())
-        .unwrap_or_else(|| serde_json::json!([]));
-    for row in rows {
-        let entry = serde_json::json!({
-            "bench": "soak",
-            "scenario": scenario,
-            "seed": row.seed,
-            "completed": row.completed,
-            "error": row.error,
-            "found": row.table4.found as u64,
-            "correct_year": row.table4.correct_year as u64,
-            "total_requests": row.total_requests,
-            "retries": row.retries,
-            "sheds_absorbed_by_crawler": row.sheds_crawler,
-            "server_sheds": row.shed_server,
-            "server_rate_limited": row.rate_limited_server,
-            "chaos_faults": row.chaos_faults,
-            "chaos_delivered": row.chaos_delivered,
-            "chaos_aborted_before": row.chaos_aborted_before,
-            "post_redeliveries": row.post_redeliveries,
-            "auth_retries": row.auth_retries,
-            "ledger_gap": row.ledger_gap,
-            "politeness_widen_factor": row.widen_factor,
-            "blast_p99_ms": row.blast_p99_ms,
-            "attack_bg_p99_ms": row.attack_bg_p99_ms,
-            "drain_wall_ms": row.drain_wall_ms,
-            "drained_connections": row.drained_connections,
-            "drain_rejects": row.drain_rejects,
-            "rss_mb": row.rss_mb,
-            "violations": row.violations.len() as u64,
-        });
-        if let Some(arr) = runs.as_array_mut() {
-            arr.push(entry);
-        }
-    }
-    if let Ok(body) = serde_json::to_string_pretty(&runs) {
-        if std::fs::write(path, body).is_ok() {
-            eprintln!("[soak] appended {} rows to BENCH_soak.json", rows.len());
-        }
-    }
+/// One seed's row for `<workspace>/BENCH_soak.json`.
+fn bench_row(row: &SeedReport, scenario: &str) -> serde_json::Value {
+    serde_json::json!({
+        "bench": "soak",
+        "scenario": scenario,
+        "seed": row.seed,
+        "completed": row.completed,
+        "error": row.error,
+        "found": row.table4.found as u64,
+        "correct_year": row.table4.correct_year as u64,
+        "total_requests": row.total_requests,
+        "retries": row.retries,
+        "sheds_absorbed_by_crawler": row.sheds_crawler,
+        "server_sheds": row.shed_server,
+        "server_rate_limited": row.rate_limited_server,
+        "chaos_faults": row.chaos_faults,
+        "chaos_delivered": row.chaos_delivered,
+        "chaos_aborted_before": row.chaos_aborted_before,
+        "post_redeliveries": row.post_redeliveries,
+        "auth_retries": row.auth_retries,
+        "ledger_gap": row.ledger_gap,
+        "politeness_widen_factor": row.widen_factor,
+        "blast_p99_ms": row.blast_p99_ms,
+        "attack_bg_p99_ms": row.attack_bg_p99_ms,
+        "drain_wall_ms": row.drain_wall_ms,
+        "drained_connections": row.drained_connections,
+        "drain_rejects": row.drain_rejects,
+        "rss_mb": row.rss_mb,
+        "violations": row.violations.len() as u64,
+    })
 }
 
 fn main() {
@@ -595,7 +580,8 @@ fn main() {
         all_violations.push("no server-side sheds across the whole sweep".to_string());
     }
 
-    append_bench(&rows, &scenario);
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_soak.json");
+    append_bench_rows(path, rows.iter().map(|row| bench_row(row, &scenario)).collect());
     println!(
         "sweep: {} seeds, {} server sheds, {} chaos faults, rss {}MB -> {}MB",
         rows.len(),

@@ -19,6 +19,7 @@
 //! budget). Wall-clock overhead is reported but not gated; on a shared
 //! box it measures the neighbours, not the recorder.
 
+use hs_profiler::experiments::append_bench_rows;
 use hs_profiler::experiments::runner::{full_attack_with, AttackRun, Lab};
 use hs_profiler::experiments::trace_audit::audit_trace;
 use hs_profiler::platform::FaultPlan;
@@ -68,7 +69,7 @@ fn forensics(traced: &Run) -> (String, u64, String) {
     (digest, spans, audit_path)
 }
 
-fn append_headline(
+fn headline_row(
     school: &str,
     digest: &str,
     spans: u64,
@@ -76,14 +77,8 @@ fn append_headline(
     overhead_virtual_pct: f64,
     wall_untraced: f64,
     wall_traced: f64,
-) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_obs.json");
-    let mut runs: serde_json::Value = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| serde_json::from_str(&s).ok())
-        .unwrap_or_else(|| serde_json::json!([]));
-    let Some(arr) = runs.as_array_mut() else { return };
-    arr.push(serde_json::json!({
+) -> serde_json::Value {
+    serde_json::json!({
         "bench": "trace_overhead",
         "school": school,
         "accounts": ACCOUNTS as u64,
@@ -94,12 +89,7 @@ fn append_headline(
         "overhead_virtual_pct": overhead_virtual_pct,
         "wall_secs_untraced": wall_untraced,
         "wall_secs_traced": wall_traced,
-    }));
-    if let Ok(body) = serde_json::to_string_pretty(&runs) {
-        if std::fs::write(path, body).is_ok() {
-            eprintln!("[trace_forensics] appended 1 row to BENCH_obs.json");
-        }
-    }
+    })
 }
 
 fn main() {
@@ -143,7 +133,7 @@ fn main() {
         );
         println!("smoke: digest reproducible, audit closed, overhead gate PASS");
     } else {
-        append_headline(
+        let row = headline_row(
             school,
             &digest,
             spans,
@@ -152,6 +142,7 @@ fn main() {
             untraced.wall_secs,
             traced.wall_secs,
         );
+        append_bench_rows(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_obs.json"), vec![row]);
         println!("overhead gate (≤5% virtual attack time): PASS");
     }
 }

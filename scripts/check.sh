@@ -16,6 +16,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 
+echo "==> perfbench harness tests (benchmark build, digests equal to the labs')"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> chaos integration test (HS1 attack under FaultPlan::chaos)"
 cargo test -q --test chaos_attack
 
