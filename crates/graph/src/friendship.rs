@@ -4,6 +4,8 @@
 use crate::ids::UserId;
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Symmetric friendship adjacency, one sorted neighbour list per user.
 ///
@@ -16,14 +18,18 @@ use serde::{Deserialize, Serialize};
 /// - **Building** — one `Vec<UserId>` per user. Cheap to mutate; three
 ///   pointers of header plus a separate allocation per user.
 /// - **Sealed** — frozen CSR (compressed sparse row): one offsets array
-///   and one flat edge array. Zero per-user allocations, neighbour
-///   lists are contiguous slices, and a metro-scale world drops from
-///   ~50 B to ~8 B of overhead per edge endpoint.
+///   and one flat edge array behind an `Arc`. Zero per-user
+///   allocations, neighbour lists are contiguous slices, and a
+///   metro-scale world drops from ~50 B to ~8 B of overhead per edge
+///   endpoint.
 ///
 /// Sealing ([`FriendGraph::seal`], usually via `Network::seal`) is a
-/// pure layout change: every accessor answers identically, the serde
-/// form is the legacy `{"adj": [[...]]}` either way, and any mutation
-/// transparently thaws back to Building first.
+/// pure layout change: every accessor answers identically and the serde
+/// form is the legacy `{"adj": [[...]]}` either way. A sealed graph
+/// never thaws: a mutation copies just the touched users' lists into a
+/// per-user override table that reads consult first, so cloning a
+/// sealed graph and changing a few edges costs O(edges changed), not
+/// O(users), and the clone shares the CSR with its original.
 #[derive(Clone, Debug)]
 pub struct FriendGraph {
     repr: Repr,
@@ -32,12 +38,25 @@ pub struct FriendGraph {
 #[derive(Clone, Debug)]
 enum Repr {
     Building(Vec<Vec<UserId>>),
-    Sealed(Csr),
+    Sealed(Sealed),
+}
+
+/// A shared frozen CSR plus the lists of the users changed since it was
+/// frozen.
+#[derive(Clone, Debug)]
+struct Sealed {
+    csr: Arc<Csr>,
+    /// Replacement friend lists of touched users; every other user
+    /// reads straight from `csr`. A list stays shared between clones
+    /// until one of them writes it.
+    over: HashMap<UserId, Arc<Vec<UserId>>>,
+    /// Users tracked: `csr.users()` plus any signed up since.
+    users: usize,
 }
 
 /// Frozen compressed-sparse-row adjacency: `edges[offsets[u] as usize
 /// .. offsets[u + 1] as usize]` is the sorted friend list of user `u`.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Csr {
     offsets: Vec<u64>,
     edges: Vec<UserId>,
@@ -48,8 +67,29 @@ impl Csr {
         self.offsets.len() - 1
     }
 
+    /// The frozen list of user `i`; empty past the end.
     fn list(&self, i: usize) -> &[UserId] {
-        &self.edges[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+        if i < self.users() {
+            &self.edges[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+        } else {
+            &[]
+        }
+    }
+}
+
+impl Sealed {
+    fn new(csr: Csr) -> Sealed {
+        Sealed { users: csr.users(), csr: Arc::new(csr), over: HashMap::new() }
+    }
+
+    fn list(&self, u: UserId) -> &[UserId] {
+        // An untouched graph (every frozen world) skips the hash.
+        if !self.over.is_empty() {
+            if let Some(list) = self.over.get(&u) {
+                return list;
+            }
+        }
+        self.csr.list(u.index())
     }
 }
 
@@ -78,7 +118,7 @@ impl FriendGraph {
     pub fn len(&self) -> usize {
         match &self.repr {
             Repr::Building(adj) => adj.len(),
-            Repr::Sealed(csr) => csr.users(),
+            Repr::Sealed(s) => s.users,
         }
     }
 
@@ -86,29 +126,31 @@ impl FriendGraph {
         self.len() == 0
     }
 
-    /// Whether the graph is in the frozen CSR layout.
+    /// Whether the graph is in the frozen CSR layout with no user
+    /// changed since it was frozen.
     pub fn is_sealed(&self) -> bool {
-        matches!(self.repr, Repr::Sealed(_))
+        matches!(&self.repr, Repr::Sealed(s) if s.over.is_empty() && s.users == s.csr.users())
     }
 
-    /// Freeze into the CSR layout. Idempotent; a no-op on an already
-    /// sealed graph. Neighbour lists are already sorted, so this is one
-    /// prefix sum plus one flat copy.
+    /// Freeze into the CSR layout, folding in any per-user overrides.
+    /// Idempotent; a no-op on an already sealed graph. Neighbour lists
+    /// are already sorted, so this is one prefix sum plus one flat copy.
     pub fn seal(&mut self) {
-        if let Repr::Building(adj) = &self.repr {
-            let mut offsets = Vec::with_capacity(adj.len() + 1);
-            let mut total = 0u64;
-            offsets.push(0);
-            for list in adj {
-                total += list.len() as u64;
-                offsets.push(total);
-            }
-            let mut edges = Vec::with_capacity(total as usize);
-            for list in adj {
-                edges.extend_from_slice(list);
-            }
-            self.repr = Repr::Sealed(Csr { offsets, edges });
+        if self.is_sealed() {
+            return;
         }
+        let mut offsets = Vec::with_capacity(self.len() + 1);
+        let mut total = 0u64;
+        offsets.push(0);
+        for list in self.iter_lists() {
+            total += list.len() as u64;
+            offsets.push(total);
+        }
+        let mut edges = Vec::with_capacity(total as usize);
+        for list in self.iter_lists() {
+            edges.extend_from_slice(list);
+        }
+        self.repr = Repr::Sealed(Sealed::new(Csr { offsets, edges }));
     }
 
     /// Build a sealed graph directly from an undirected edge list —
@@ -162,41 +204,40 @@ impl FriendGraph {
             compacted.push(write as u64);
         }
         flat.truncate(write);
-        FriendGraph { repr: Repr::Sealed(Csr { offsets: compacted, edges: flat }) }
+        FriendGraph { repr: Repr::Sealed(Sealed::new(Csr { offsets: compacted, edges: flat })) }
     }
 
-    /// Mutable Building-layout view, thawing a sealed graph first.
-    fn building(&mut self) -> &mut Vec<Vec<UserId>> {
-        if let Repr::Sealed(csr) = &self.repr {
-            let adj = (0..csr.users()).map(|i| csr.list(i).to_vec()).collect();
-            self.repr = Repr::Building(adj);
-        }
+    /// The writable friend list of `u` (which must be tracked). When
+    /// sealed, the first write copies the frozen list into the override
+    /// table, and a write to a list shared with a clone copies it.
+    fn list_mut(&mut self, u: UserId) -> &mut Vec<UserId> {
         match &mut self.repr {
-            Repr::Building(adj) => adj,
-            Repr::Sealed(_) => unreachable!("just thawed"),
+            Repr::Building(adj) => &mut adj[u.index()],
+            Repr::Sealed(Sealed { csr, over, .. }) => Arc::make_mut(
+                over.entry(u).or_insert_with(|| Arc::new(csr.list(u.index()).to_vec())),
+            ),
         }
     }
 
     /// Grow the user table to at least `users` entries.
     pub fn ensure_users(&mut self, users: usize) {
-        if self.len() < users {
-            self.building().resize(users, Vec::new());
+        match &mut self.repr {
+            Repr::Building(adj) if adj.len() < users => adj.resize(users, Vec::new()),
+            Repr::Building(_) => {}
+            Repr::Sealed(s) => s.users = s.users.max(users),
         }
     }
 
     /// Insert a symmetric friendship. Self-links are ignored; duplicate
     /// insertions are idempotent. Returns `true` if the edge was new.
     pub fn add_friendship(&mut self, a: UserId, b: UserId) -> bool {
-        if a == b {
+        if a == b || self.are_friends(a, b) {
             return false;
         }
         self.ensure_users(a.index().max(b.index()) + 1);
-        let adj = self.building();
-        let inserted = Self::insert_sorted(&mut adj[a.index()], b);
-        if inserted {
-            Self::insert_sorted(&mut adj[b.index()], a);
-        }
-        inserted
+        Self::insert_sorted(self.list_mut(a), b);
+        Self::insert_sorted(self.list_mut(b), a);
+        true
     }
 
     fn insert_sorted(list: &mut Vec<UserId>, v: UserId) -> bool {
@@ -213,15 +254,11 @@ impl FriendGraph {
     /// existed (removal happens on both sides); removing a missing or
     /// self edge is a no-op.
     pub fn remove_friendship(&mut self, a: UserId, b: UserId) -> bool {
-        if a == b || a.index() >= self.len() || b.index() >= self.len() {
+        if a == b || !self.are_friends(a, b) {
             return false;
         }
-        if !self.are_friends(a, b) {
-            return false;
-        }
-        let adj = self.building();
-        Self::remove_sorted(&mut adj[a.index()], b);
-        Self::remove_sorted(&mut adj[b.index()], a);
+        Self::remove_sorted(self.list_mut(a), b);
+        Self::remove_sorted(self.list_mut(b), a);
         true
     }
 
@@ -236,18 +273,21 @@ impl FriendGraph {
     }
 
     /// The sorted friend list of `u` (empty if out of range). In the
-    /// sealed layout this is a slice of the flat CSR edge array —
-    /// no per-user allocation exists to point into.
+    /// sealed layout this is a slice of the flat CSR edge array unless
+    /// `u` was changed since sealing.
     pub fn friends(&self, u: UserId) -> &[UserId] {
         match &self.repr {
             Repr::Building(adj) => adj.get(u.index()).map(Vec::as_slice).unwrap_or(&[]),
-            Repr::Sealed(csr) => {
-                if u.index() < csr.users() {
-                    csr.list(u.index())
-                } else {
-                    &[]
-                }
-            }
+            Repr::Sealed(s) => s.list(u),
+        }
+    }
+
+    /// Whether both graphs read from the same frozen CSR allocation.
+    #[cfg(test)]
+    pub(crate) fn shares_csr_with(&self, other: &FriendGraph) -> bool {
+        match (&self.repr, &other.repr) {
+            (Repr::Sealed(a), Repr::Sealed(b)) => Arc::ptr_eq(&a.csr, &b.csr),
+            _ => false,
         }
     }
 
@@ -275,7 +315,11 @@ impl FriendGraph {
     pub fn edge_count(&self) -> usize {
         match &self.repr {
             Repr::Building(adj) => adj.iter().map(Vec::len).sum::<usize>() / 2,
-            Repr::Sealed(csr) => csr.edges.len() / 2,
+            Repr::Sealed(s) => {
+                let overridden: usize = s.over.keys().map(|u| s.csr.list(u.index()).len()).sum();
+                let overrides: usize = s.over.values().map(|l| l.len()).sum();
+                (s.csr.edges.len() - overridden + overrides) / 2
+            }
         }
     }
 
@@ -284,28 +328,20 @@ impl FriendGraph {
     /// of repeated sorted insertion. Self-loops and duplicates are
     /// dropped. Intended for the population generator.
     pub fn bulk_insert(&mut self, edges: impl IntoIterator<Item = (UserId, UserId)>) {
-        let mut touched = Vec::new();
-        {
-            // Pre-grow outside the loop borrow, then fill.
-            let mut max = self.len();
-            let edges: Vec<(UserId, UserId)> = edges.into_iter().filter(|(a, b)| a != b).collect();
-            for &(a, b) in &edges {
-                max = max.max(a.index().max(b.index()) + 1);
-            }
-            self.ensure_users(max);
-            let adj = self.building();
-            for (a, b) in edges {
-                adj[a.index()].push(b);
-                adj[b.index()].push(a);
-                touched.push(a);
-                touched.push(b);
-            }
+        let edges: Vec<(UserId, UserId)> = edges.into_iter().filter(|(a, b)| a != b).collect();
+        let users = edges.iter().map(|&(a, b)| a.index().max(b.index()) + 1).max().unwrap_or(0);
+        self.ensure_users(users);
+        let mut touched = Vec::with_capacity(edges.len() * 2);
+        for (a, b) in edges {
+            self.list_mut(a).push(b);
+            self.list_mut(b).push(a);
+            touched.push(a);
+            touched.push(b);
         }
         touched.sort_unstable();
         touched.dedup();
-        let adj = self.building();
         for u in touched {
-            let list = &mut adj[u.index()];
+            let list = self.list_mut(u);
             list.sort_unstable();
             list.dedup();
         }

@@ -1,6 +1,7 @@
 //! The assembled social network: users, friendships, schools, cities and
 //! the simulated "today".
 
+use crate::chunked::Chunked;
 use crate::date::{Date, SchoolCalendar};
 use crate::friendship::{Circles, FriendGraph};
 use crate::household::Households;
@@ -11,6 +12,7 @@ use crate::strings::Sym;
 use crate::user::{Role, User};
 use serde::value::{Map, Value};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// The complete simulated OSN state plus generator-side ground truth.
 ///
@@ -30,24 +32,33 @@ use serde::{Deserialize, Serialize};
 /// changes observable behaviour — every accessor answers identically
 /// and [`Network::fingerprint`] is bit-identical — and any mutating
 /// accessor transparently unseals first.
+///
+/// # Copy-on-write clones
+///
+/// `clone()` shares structure instead of copying it: users live in
+/// fixed-size `Arc` chunks, the sealed adjacency is one shared CSR, and
+/// the side tables and seal index sit behind `Arc`s. A write copies
+/// only what it touches — one user chunk, one friend list, or a side
+/// table through its `*_mut` accessor — so a clone plus a few mutations
+/// costs O(changes), and the original never observes them.
 #[derive(Clone, Debug)]
 pub struct Network {
     /// The simulated current date (the paper's crawls: March/June 2012).
     pub today: Date,
     pub calendar: SchoolCalendar,
-    users: Vec<User>,
+    users: Chunked<User>,
     friends: FriendGraph,
-    schools: Vec<School>,
-    cities: Vec<City>,
-    households: Households,
+    schools: Arc<Vec<School>>,
+    cities: Arc<Vec<City>>,
+    households: Arc<Households>,
     /// Asymmetric circle membership (Google+ mode; empty under
     /// Facebook-style symmetric friendship).
-    circles: Circles,
+    circles: Arc<Circles>,
     /// Pairwise interaction intensity (wall posts between friends).
-    interactions: Interactions,
+    interactions: Arc<Interactions>,
     /// Seal-time read indexes; dropped on any mutation. Never
     /// serialized — rebuilt by re-sealing after a round-trip.
-    seal: Option<SealIndex>,
+    seal: Option<Arc<SealIndex>>,
 }
 
 /// Struct-of-arrays mirror of the per-user fields that attack-time
@@ -79,14 +90,14 @@ impl UserColumns {
     pub const FRIEND_LIST_VISIBLE: u8 = 1 << 2;
     pub const WALL_VISIBLE: u8 = 1 << 3;
 
-    fn build(users: &[User]) -> UserColumns {
+    fn build(users: &Chunked<User>) -> UserColumns {
         let mut c = UserColumns {
             role_tag: Vec::with_capacity(users.len()),
             role_school: Vec::with_capacity(users.len()),
             grad_year: Vec::with_capacity(users.len()),
             privacy: Vec::with_capacity(users.len()),
         };
-        for u in users {
+        for u in users.iter() {
             let (tag, school, year) = match u.role {
                 Role::CurrentStudent { school, grad_year } => {
                     (Self::CURRENT_STUDENT, school.index() as u32, grad_year)
@@ -163,7 +174,7 @@ impl UserColumns {
 }
 
 /// Everything [`Network::seal`] precomputes.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct SealIndex {
     columns: UserColumns,
     /// Per school: users whose *profile* ties them to the school
@@ -176,10 +187,10 @@ struct SealIndex {
 }
 
 impl SealIndex {
-    fn build(users: &[User], schools: usize) -> SealIndex {
+    fn build(users: &Chunked<User>, schools: usize) -> SealIndex {
         let columns = UserColumns::build(users);
         let mut listers = vec![Vec::new(); schools];
-        for u in users {
+        for u in users.iter() {
             // Collect each user at most once per distinct school.
             let mut push = |s: SchoolId| {
                 if let Some(list) = listers.get_mut(s.index()) {
@@ -214,20 +225,20 @@ impl Network {
     /// builds don't re-grow the user and adjacency tables on every
     /// insert.
     pub fn with_capacity(today: Date, users: usize) -> Self {
-        let mut friends = FriendGraph::default();
-        friends.reserve(users);
-        Network {
+        let mut net = Network {
             today,
             calendar: SchoolCalendar::default(),
-            users: Vec::with_capacity(users),
-            friends,
-            schools: Vec::new(),
-            cities: Vec::new(),
-            households: Households::new(),
-            circles: Circles::default(),
-            interactions: Interactions::default(),
+            users: Chunked::default(),
+            friends: FriendGraph::default(),
+            schools: Arc::default(),
+            cities: Arc::default(),
+            households: Arc::default(),
+            circles: Arc::default(),
+            interactions: Arc::default(),
             seal: None,
-        }
+        };
+        net.reserve(users);
+        net
     }
 
     /// Reserve room for `additional` more users.
@@ -244,7 +255,7 @@ impl Network {
     pub fn seal(&mut self) {
         self.friends.seal();
         if self.seal.is_none() {
-            self.seal = Some(SealIndex::build(&self.users, self.schools.len()));
+            self.seal = Some(Arc::new(SealIndex::build(&self.users, self.schools.len())));
         }
     }
 
@@ -276,7 +287,7 @@ impl Network {
     pub fn add_city(&mut self, name: impl Into<Sym>, state: impl Into<Sym>) -> CityId {
         self.unseal();
         let id = CityId::from_index(self.cities.len());
-        self.cities.push(City { id, name: name.into(), state: state.into() });
+        Arc::make_mut(&mut self.cities).push(City { id, name: name.into(), state: state.into() });
         id
     }
 
@@ -286,7 +297,7 @@ impl Network {
         let id = SchoolId::from_index(self.schools.len());
         let mut school = school;
         school.id = id;
-        self.schools.push(school);
+        Arc::make_mut(&mut self.schools).push(school);
         id
     }
 
@@ -380,7 +391,7 @@ impl Network {
         s.raw(",\"today\":");
         s.value(&self.today.to_json_value());
         s.raw(",\"users\":");
-        s.values(self.users.iter().map(|u| u.to_json_value()), self.users.len());
+        s.values(self.users.iter().map(User::to_json_value), self.users.len());
         s.raw("}");
         s.finish()
     }
@@ -399,9 +410,11 @@ impl Network {
         self.users.get(id.index())
     }
 
+    /// Mutable access to one user; copies only that user's chunk when
+    /// a clone still shares it.
     pub fn user_mut(&mut self, id: UserId) -> &mut User {
         self.unseal();
-        &mut self.users[id.index()]
+        self.users.get_mut(id.index())
     }
 
     pub fn users(&self) -> impl Iterator<Item = &User> {
@@ -439,7 +452,7 @@ impl Network {
 
     pub fn circles_mut(&mut self) -> &mut Circles {
         self.unseal();
-        &mut self.circles
+        Arc::make_mut(&mut self.circles)
     }
 
     /// Pairwise interactions (wall-post counts between friends).
@@ -449,7 +462,7 @@ impl Network {
 
     pub fn interactions_mut(&mut self) -> &mut Interactions {
         self.unseal();
-        &mut self.interactions
+        Arc::make_mut(&mut self.interactions)
     }
 
     /// Ground-truth households (the substrate behind public records).
@@ -459,7 +472,7 @@ impl Network {
 
     pub fn households_mut(&mut self) -> &mut Households {
         self.unseal();
-        &mut self.households
+        Arc::make_mut(&mut self.households)
     }
 
     /// Sorted friend list of `u` (ground truth; the platform decides who
@@ -594,7 +607,10 @@ impl Serialize for Network {
         let mut m = Map::new();
         m.insert("today".to_string(), self.today.to_json_value());
         m.insert("calendar".to_string(), self.calendar.to_json_value());
-        m.insert("users".to_string(), self.users.to_json_value());
+        m.insert(
+            "users".to_string(),
+            Value::Array(self.users.iter().map(User::to_json_value).collect()),
+        );
         m.insert("friends".to_string(), self.friends.to_json_value());
         m.insert("schools".to_string(), self.schools.to_json_value());
         m.insert("cities".to_string(), self.cities.to_json_value());
@@ -613,13 +629,13 @@ impl<'de> Deserialize<'de> for Network {
         Ok(Network {
             today: Date::from_json_value(field(v, "today")?)?,
             calendar: SchoolCalendar::from_json_value(field(v, "calendar")?)?,
-            users: Vec::<User>::from_json_value(field(v, "users")?)?,
+            users: Vec::<User>::from_json_value(field(v, "users")?)?.into_iter().collect(),
             friends: FriendGraph::from_json_value(field(v, "friends")?)?,
-            schools: Vec::<School>::from_json_value(field(v, "schools")?)?,
-            cities: Vec::<City>::from_json_value(field(v, "cities")?)?,
-            households: Households::from_json_value(field(v, "households")?)?,
-            circles: Circles::from_json_value(field(v, "circles")?)?,
-            interactions: Interactions::from_json_value(field(v, "interactions")?)?,
+            schools: Arc::new(Vec::<School>::from_json_value(field(v, "schools")?)?),
+            cities: Arc::new(Vec::<City>::from_json_value(field(v, "cities")?)?),
+            households: Arc::new(Households::from_json_value(field(v, "households")?)?),
+            circles: Arc::new(Circles::from_json_value(field(v, "circles")?)?),
+            interactions: Arc::new(Interactions::from_json_value(field(v, "interactions")?)?),
             seal: None,
         })
     }
@@ -928,6 +944,49 @@ mod tests {
         net.add_friendship(UserId(0), UserId(3));
         assert!(!net.is_sealed(), "edge mutation must drop the seal index");
         assert!(net.are_friends(UserId(0), UserId(3)));
+    }
+
+    /// Fails if `Network::clone` goes back to deep copies: after a
+    /// clone plus one `user_mut` and one `add_friendship`, only the
+    /// touched user chunk has been copied, and the adjacency CSR and
+    /// every side table are still the original's.
+    #[test]
+    fn clone_shares_everything_a_mutation_does_not_touch() {
+        use crate::chunked::CHUNK;
+        let (mut net, school) = base_network();
+        for i in 0..3 * CHUNK + 5 {
+            let role = if i % 3 == 0 {
+                Role::CurrentStudent { school, grad_year: 2014 }
+            } else {
+                Role::OtherResident
+            };
+            mk_user(&mut net, role);
+        }
+        net.add_friendships_bulk((1..net.user_count()).map(|i| (UserId(0), UserId(i as u64))));
+        net.circles_mut().add(UserId(1), UserId(2));
+        net.interactions_mut().bulk_insert([(UserId(0), UserId(1), 3)]);
+        net.households_mut().add("12 Oak St".into(), CityId(0), vec![UserId(1)]);
+        net.seal();
+        let before = net.fingerprint();
+
+        let mut copy = net.clone();
+        let touched = UserId((CHUNK + 7) as u64);
+        copy.user_mut(touched).profile.networks.push(school);
+        assert!(copy.add_friendship(UserId(2), UserId(3)));
+
+        let (a, b) = (net.users.chunks(), copy.users.chunks());
+        assert_eq!(a.len(), b.len());
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(Arc::ptr_eq(x, y), i != touched.index() / CHUNK, "user chunk {i}");
+        }
+        assert!(copy.friend_graph().shares_csr_with(net.friend_graph()));
+        assert!(Arc::ptr_eq(&net.households, &copy.households));
+        assert!(Arc::ptr_eq(&net.interactions, &copy.interactions));
+        assert!(Arc::ptr_eq(&net.circles, &copy.circles));
+        assert!(Arc::ptr_eq(&net.schools, &copy.schools));
+        assert!(Arc::ptr_eq(&net.cities, &copy.cities));
+        assert_eq!(net.fingerprint(), before, "the original never sees the clone's writes");
+        assert!(net.is_sealed() && !copy.is_sealed());
     }
 
     #[test]

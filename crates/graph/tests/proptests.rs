@@ -58,6 +58,39 @@ proptest! {
         prop_assert_eq!(bulk.edge_count(), inc.edge_count());
     }
 
+    /// Mutating a sealed graph (through its per-user overrides) answers
+    /// exactly like mutating the Building layout, and leaves a sealed
+    /// original it was cloned from untouched.
+    #[test]
+    fn sealed_overrides_match_building_layout(
+        edges in prop::collection::vec((0u64..50, 0u64..50), 0..120),
+        ops in prop::collection::vec((any::<bool>(), 0u64..60, 0u64..60), 0..80),
+    ) {
+        let mut building = FriendGraph::default();
+        building.bulk_insert(edges.iter().map(|&(a, b)| (UserId(a), UserId(b))));
+        let mut original = building.clone();
+        original.seal();
+        let mut sealed = original.clone();
+        for &(add, a, b) in &ops {
+            let (a, b) = (UserId(a), UserId(b));
+            if add {
+                prop_assert_eq!(sealed.add_friendship(a, b), building.add_friendship(a, b));
+            } else {
+                prop_assert_eq!(sealed.remove_friendship(a, b), building.remove_friendship(a, b));
+            }
+        }
+        prop_assert_eq!(sealed.len(), building.len());
+        prop_assert_eq!(sealed.edge_count(), building.edge_count());
+        prop_assert!(sealed.iter_lists().eq(building.iter_lists()));
+        prop_assert!(original.is_sealed());
+        let mut fresh = FriendGraph::default();
+        fresh.bulk_insert(edges.iter().map(|&(a, b)| (UserId(a), UserId(b))));
+        prop_assert!(original.iter_lists().eq(fresh.iter_lists()));
+        sealed.seal();
+        prop_assert!(sealed.is_sealed());
+        prop_assert!(sealed.iter_lists().eq(building.iter_lists()));
+    }
+
     /// Friendship symmetry and sortedness hold under arbitrary insertion.
     #[test]
     fn adjacency_is_symmetric_and_sorted(

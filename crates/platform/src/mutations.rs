@@ -31,11 +31,12 @@ use hsp_graph::{
     Date, Gender, Network, PrivacySettings, ProfileContent, Registration, Role, User, UserId,
 };
 use hsp_obs::trace::{SpanRecord, SLOT_MUTATION};
-use hsp_obs::{Registry, TraceCtx, TRACE_SEED};
+use hsp_obs::{Counter, Histogram, Registry, TraceCtx, TRACE_SEED};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Trace lane reserved for world mutations (no account ever hashes to
 /// it: account lanes are FNV-1a of a username). `TraceCtx::derive`
@@ -214,11 +215,21 @@ struct EngineState {
 /// Expands a [`MutationPlan`] into a fixed schedule and serves memoized
 /// per-generation world snapshots. See the module docs for the
 /// determinism argument.
+///
+/// A snapshot costs O(events applied), not O(world): `build_world`
+/// clones the nearest cached ancestor, and `Network::clone` shares
+/// every user chunk, the sealed adjacency and the side tables until an
+/// event writes them.
 pub struct MutationEngine {
     plan: MutationPlan,
     schedule: Vec<(u64, MutationEvent)>,
     state: Mutex<EngineState>,
     obs: Arc<Registry>,
+    /// Memo misses, and the wall time of each (build plus eviction).
+    /// Diagnostics only: kept out of `state_digest` and the trace,
+    /// since both depend on eviction, arrival order and the host.
+    builds: Arc<Counter>,
+    build_us: Arc<Histogram>,
 }
 
 /// SplitMix64 finalizer (same mixing function as `FaultEngine`).
@@ -412,6 +423,8 @@ impl MutationEngine {
                 events_digest: 0xcbf2_9ce4_8422_2325,
                 serves: BTreeMap::new(),
             }),
+            builds: obs.counter("platform_world_builds_total"),
+            build_us: obs.histogram("platform_world_build_us"),
             obs,
         })
     }
@@ -446,11 +459,13 @@ impl MutationEngine {
     /// from. Also tallies the serve for the state digest.
     pub fn world_at(&self, now_ms: u64) -> Arc<WorldGen> {
         let generation = self.generation_at(now_ms);
+        let mut evicted = Vec::new();
         let mut st = self.state.lock();
         *st.serves.entry(generation).or_insert(0) += 1;
         if let Some(w) = st.worlds.get(&generation) {
             return Arc::clone(w);
         }
+        let started = Instant::now();
         let world = self.build_world(&mut st, generation);
         st.worlds.insert(generation, Arc::clone(&world));
         // Bounded memoization: drop the oldest non-base snapshots. A
@@ -461,8 +476,13 @@ impl MutationEngine {
             if oldest == generation {
                 break;
             }
-            st.worlds.remove(&oldest);
+            evicted.extend(st.worlds.remove(&oldest));
         }
+        drop(st);
+        // Evicted worlds are freed here, outside the engine lock.
+        drop(evicted);
+        self.builds.inc();
+        self.build_us.record(started.elapsed().as_micros() as u64);
         world
     }
 
@@ -704,5 +724,30 @@ mod tests {
             .sum();
         assert_eq!(total, eng.event_count() as u64);
         assert_eq!(eng.applied_count(), eng.event_count());
+    }
+
+    #[test]
+    fn world_builds_are_metered_but_not_digested() {
+        let obs = Registry::shared();
+        let eng = MutationEngine::new(live_plan(), base(), Arc::clone(&obs));
+        let digest = eng.state_digest();
+        eng.world_at(0);
+        let snap = obs.snapshot();
+        assert_eq!(snap.counter("platform_world_builds_total"), 0, "generation 0 is never built");
+        eng.world_at(30_000);
+        eng.world_at(30_000);
+        eng.world_at(60_000);
+        let snap = obs.snapshot();
+        assert_eq!(snap.counter("platform_world_builds_total"), 2);
+        assert_eq!(snap.histogram("platform_world_build_us").map(|h| h.count), Some(2));
+        // A fresh engine serving the same instants from a cold memo
+        // digests the same, whatever it built.
+        let other = MutationEngine::new(live_plan(), base(), Registry::shared());
+        other.world_at(60_000);
+        other.world_at(0);
+        other.world_at(30_000);
+        other.world_at(30_000);
+        assert_eq!(other.state_digest(), eng.state_digest());
+        assert_ne!(digest, eng.state_digest());
     }
 }

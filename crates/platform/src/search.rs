@@ -13,10 +13,12 @@ use hsp_graph::{Network, SchoolId, UserId};
 use hsp_policy::Policy;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::Arc;
 
-/// Caches the searchable pool per school and serves per-account pages.
+/// Caches the shuffled searchable pool per school and serves
+/// per-account pages.
 pub struct SearchIndex {
-    pools: Mutex<HashMap<SchoolId, Vec<UserId>>>,
+    pools: Mutex<HashMap<SchoolId, Arc<Vec<UserId>>>>,
 }
 
 impl SearchIndex {
@@ -24,8 +26,9 @@ impl SearchIndex {
         SearchIndex { pools: Mutex::new(HashMap::new()) }
     }
 
-    /// All users the policy lets a stranger find for `school`, in id
-    /// order (cached).
+    /// All users the policy lets a stranger find for `school`, in the
+    /// global, account-independent shard order (computed once per
+    /// school, then shared by every account's request).
     ///
     /// On a sealed network the candidate set shrinks from the whole
     /// population to the per-school lister index (every policy's search
@@ -34,11 +37,10 @@ impl SearchIndex {
     /// difference between a metro-scale city (dozens of schools over a
     /// million users) and a single-school world is a few thousand
     /// candidates per school either way.
-    fn pool(&self, net: &Network, policy: &dyn Policy, school: SchoolId) -> Vec<UserId> {
+    fn pool(&self, net: &Network, policy: &dyn Policy, school: SchoolId) -> Arc<Vec<UserId>> {
         let mut pools = self.pools.lock();
-        pools
-            .entry(school)
-            .or_insert_with(|| match (net.school_listers(school), net.sealed_columns()) {
+        let pool = pools.entry(school).or_insert_with(|| {
+            let mut pool: Vec<UserId> = match (net.school_listers(school), net.sealed_columns()) {
                 (Some(listers), cols) => listers
                     .iter()
                     .copied()
@@ -49,8 +51,11 @@ impl SearchIndex {
                     .user_ids()
                     .filter(|&u| policy.searchable_by_school(net, u, school))
                     .collect(),
-            })
-            .clone()
+            };
+            deterministic_shuffle(&mut pool, hash2(0x61_0b_a1, school.0 as u64));
+            Arc::new(pool)
+        });
+        Arc::clone(pool)
     }
 
     /// The account-specific result list.
@@ -72,9 +77,7 @@ impl SearchIndex {
         school: SchoolId,
         account_index: usize,
     ) -> Vec<UserId> {
-        let mut pool = self.pool(net, policy, school);
-        // Global, account-independent shard layout.
-        deterministic_shuffle(&mut pool, hash2(0x61_0b_a1, school.0 as u64));
+        let pool = self.pool(net, policy, school);
         let cap = config.search_cap_per_account;
         let shards = (pool.len() / cap).max(1);
         let shard = account_index % shards;

@@ -2,7 +2,7 @@
 //! that must hold for every generated world, across random small
 //! configurations.
 
-use hsp_graph::Role;
+use hsp_graph::{HouseholdId, Network, PrivacySettings, Role, UserId};
 use hsp_synth::{generate, generate_sharded, ScenarioConfig};
 use proptest::prelude::*;
 
@@ -155,5 +155,73 @@ proptest! {
         let again =
             hsp_graph::Network::from_json_value(&builder.to_json_value()).expect("round-trip 2");
         prop_assert_eq!(again.fingerprint(), sealed.fingerprint());
+    }
+
+    /// `Network::clone` shares structure, so writes to a clone must
+    /// never leak into the original, and a clone must end up exactly
+    /// where a deep (serde round-tripped) copy given the same writes
+    /// does. The ops cover every copy-on-write path: user chunks
+    /// (`add_user`, `user_mut`), the sealed adjacency's per-user
+    /// overrides (`add_friendship`, `remove_friendship`) and the shared
+    /// side tables (`circles_mut`, `interactions_mut`, `households_mut`).
+    #[test]
+    fn cow_clone_is_isolated(
+        cfg in arb_config(),
+        ops in prop::collection::vec((0u8..8, any::<u64>(), any::<u64>()), 1..40),
+    ) {
+        use serde::{Deserialize, Serialize};
+
+        let original = generate(&cfg).network;
+        prop_assert!(original.is_sealed());
+        let before = original.fingerprint();
+        let mut deep = Network::from_json_value(&original.to_json_value()).expect("round-trip");
+        let mut clone = original.clone();
+        for &(kind, a, b) in &ops {
+            apply_op(&mut clone, kind, a, b);
+            apply_op(&mut deep, kind, a, b);
+        }
+
+        prop_assert_eq!(original.fingerprint(), before, "a clone's write reached the original");
+        prop_assert_eq!(clone.fingerprint(), deep.fingerprint());
+        prop_assert_eq!(clone.friend_graph().edge_count(), deep.friend_graph().edge_count());
+        for u in clone.user_ids() {
+            prop_assert_eq!(clone.friends(u), deep.friends(u));
+        }
+        // Folding the overrides back into a CSR changes nothing observable.
+        clone.seal();
+        prop_assert_eq!(clone.fingerprint(), deep.fingerprint());
+    }
+}
+
+/// One write of `cow_clone_is_isolated`, with users picked by draw.
+fn apply_op(net: &mut Network, kind: u8, a: u64, b: u64) {
+    let n = net.user_count() as u64;
+    let (u, v) = (UserId(a % n), UserId(b % n));
+    match kind {
+        0 => {
+            let user = net.user(u).clone();
+            net.add_user(user);
+        }
+        1 => {
+            net.add_friendship(u, v);
+        }
+        2 => {
+            let friends = net.friends(u);
+            let v =
+                if friends.is_empty() { v } else { friends[(b % friends.len() as u64) as usize] };
+            net.remove_friendship(u, v);
+        }
+        3 => net.user_mut(u).privacy = PrivacySettings::locked_down(),
+        4 => net.user_mut(u).role = Role::OtherResident,
+        5 => {
+            net.circles_mut().add(u, v);
+        }
+        6 => net.interactions_mut().bulk_insert([(u, v, 1 + (b % 3) as u32)]),
+        _ => match net.households().len() as u64 {
+            0 => {
+                net.households_mut().add("1 Elm St".into(), hsp_graph::CityId(0), vec![u]);
+            }
+            h => net.households_mut().join(HouseholdId::from_index((b % h) as usize), u),
+        },
     }
 }

@@ -5,8 +5,8 @@
 //! `BENCH_live.json` at the workspace root.
 //!
 //! ```sh
-//! cargo run --release --example live_world          # or scripts/live.sh
-//! LIVE_SCENARIO=tiny cargo run --release --example live_world   # CI smoke
+//! cargo run --release --example live_world          # HS1; scripts/check.sh, scripts/live.sh
+//! LIVE_SCENARIO=tiny cargo run --release --example live_world   # sub-second smoke
 //! ```
 //!
 //! Gates (the run panics if any fails):
@@ -28,6 +28,7 @@ use hs_profiler::experiments::runner::{full_attack_with, AttackRun, Lab};
 use hs_profiler::experiments::trace_audit::audit_trace;
 use hs_profiler::platform::{DefenseConfig, DetectorStrength, FaultPlan, PlatformConfig};
 use hs_profiler::synth::ScenarioConfig;
+use std::time::Instant;
 
 const SEED: u64 = 0x11FE_2013;
 const FACTORS: [f64; 4] = [0.0, 1.0, 4.0, 16.0];
@@ -64,14 +65,17 @@ fn eval(lab: &Lab, run: &AttackRun) -> (usize, usize, usize) {
     (point.found, point.correct_year, point.false_positives)
 }
 
-/// One attack against `lab` at the given pacing; panics unless the
-/// trace audit closes over everything the crawl and the world did.
-fn measure(lab: &Lab, factor: f64, pace: &'static str, pace_ms: u64) -> Cell {
+/// One attack against `lab` at the given pacing, with the attack's
+/// measured wall seconds; panics unless the trace audit closes over
+/// everything the crawl and the world did.
+fn measure(lab: &Lab, factor: f64, pace: &'static str, pace_ms: u64) -> (Cell, f64) {
     lab.obs.enable_tracing(TRACE_CAP);
     let politeness = Politeness { sleep_ms_between_requests: pace_ms, ..Politeness::default() };
     let accounts = lab.paper_account_count();
     let access = lab.paced_crawler(accounts, "live", SEED, politeness);
+    let started = Instant::now();
     let run = full_attack_with(lab, access);
+    let wall_s = started.elapsed().as_secs_f64();
     assert_eq!(lab.obs.tracer().dropped(), 0, "trace ring overflowed; raise TRACE_CAP");
     let audit = audit_trace(&lab.obs, &run.effort_total);
     assert!(
@@ -80,7 +84,7 @@ fn measure(lab: &Lab, factor: f64, pace: &'static str, pace_ms: u64) -> Cell {
         audit.unexplained
     );
     let (found, correct_year, false_positives) = eval(lab, &run);
-    Cell {
+    let cell = Cell {
         factor,
         pace,
         pace_ms,
@@ -93,10 +97,11 @@ fn measure(lab: &Lab, factor: f64, pace: &'static str, pace_ms: u64) -> Cell {
         trace_digest: audit.digest,
         effort: run.effort_total,
         virtual_minutes: lab.platform.clock.now_ms() as f64 / 60_000.0,
-    }
+    };
+    (cell, wall_s)
 }
 
-fn live_cell(cfg: &ScenarioConfig, factor: f64, pace: &'static str, pace_ms: u64) -> Cell {
+fn live_cell(cfg: &ScenarioConfig, factor: f64, pace: &'static str, pace_ms: u64) -> (Cell, f64) {
     let lab = Lab::facebook_live(cfg, factor);
     measure(&lab, factor, pace, pace_ms)
 }
@@ -105,7 +110,7 @@ fn live_cell(cfg: &ScenarioConfig, factor: f64, pace: &'static str, pace_ms: u64
 /// the churn-zero cells must reproduce byte-for-byte.
 fn frozen_baseline(cfg: &ScenarioConfig, pace: &'static str, pace_ms: u64) -> Cell {
     let lab = Lab::facebook(cfg);
-    measure(&lab, 0.0, pace, pace_ms)
+    measure(&lab, 0.0, pace, pace_ms).0
 }
 
 fn gate_frontier(scenario: &str, cells: &[Cell], baselines: &[Cell]) {
@@ -199,8 +204,9 @@ fn parallel_replay_fingerprint(workers: usize) -> (String, Effort, u64, u64) {
     )
 }
 
-/// One sweep cell's row for `<workspace>/BENCH_live.json`.
-fn headline_row(scenario: &str, cell: &Cell) -> serde_json::Value {
+/// One sweep cell's row for `<workspace>/BENCH_live.json`; `wall_s` is
+/// the attack's measured wall time, beside its virtual duration.
+fn headline_row(scenario: &str, cell: &Cell, wall_s: f64) -> serde_json::Value {
     serde_json::json!({
         "bench": format!("live_world_{scenario}"),
         "churn_factor": cell.factor,
@@ -218,6 +224,7 @@ fn headline_row(scenario: &str, cell: &Cell) -> serde_json::Value {
         "tombstones": cell.effort.tombstones,
         "retries": cell.effort.retry_requests,
         "virtual_minutes": cell.virtual_minutes,
+        "wall_s": wall_s,
     })
 }
 
@@ -230,7 +237,7 @@ fn main() {
     };
     println!("live world: {scenario} attack vs churn rate vs crawl pacing (seed {SEED:#x})");
     println!(
-        "{:>6}  {:>6}  {:>9}  {:>9}  {:>10}  {:>10}  {:>8}  {:>5}  {:>8}",
+        "{:>6}  {:>6}  {:>9}  {:>9}  {:>10}  {:>10}  {:>8}  {:>5}  {:>8}  {:>6}",
         "churn",
         "pace",
         "scheduled",
@@ -239,16 +246,18 @@ fn main() {
         "stale-ref",
         "requests",
         "found",
-        "virt-min"
+        "virt-min",
+        "wall-s"
     );
     let mut baselines = Vec::new();
     let mut cells = Vec::new();
+    let mut walls = Vec::new();
     for (pace, pace_ms) in PACES {
         baselines.push(frozen_baseline(&cfg, pace, pace_ms));
         for factor in FACTORS {
-            let cell = live_cell(&cfg, factor, pace, pace_ms);
+            let (cell, wall_s) = live_cell(&cfg, factor, pace, pace_ms);
             println!(
-                "{:>6}  {:>6}  {:>9}  {:>9}  {:>10}  {:>10}  {:>8}  {:>5}  {:>8.1}",
+                "{:>6}  {:>6}  {:>9}  {:>9}  {:>10}  {:>10}  {:>8}  {:>5}  {:>8.1}  {:>6.2}",
                 format!("x{factor:.0}"),
                 cell.pace,
                 cell.mutations_scheduled,
@@ -257,15 +266,17 @@ fn main() {
                 cell.effort.stale_refetch_requests,
                 cell.effort.total(),
                 cell.found,
-                cell.virtual_minutes
+                cell.virtual_minutes,
+                wall_s
             );
             cells.push(cell);
+            walls.push(wall_s);
         }
     }
     gate_frontier(&scenario, &cells, &baselines);
     // Determinism gate: the hottest cell must reproduce exactly.
     let (pace, pace_ms) = PACES[PACES.len() - 1];
-    let replay = live_cell(&cfg, *FACTORS.last().unwrap(), pace, pace_ms);
+    let (replay, _) = live_cell(&cfg, *FACTORS.last().unwrap(), pace, pace_ms);
     let first = cells
         .iter()
         .find(|c| c.factor == *FACTORS.last().unwrap() && c.pace == pace)
@@ -283,5 +294,7 @@ fn main() {
          mutations, deterministic replay, 1==8 workers under chaos+detector+churn"
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_live.json");
-    append_bench_rows(path, cells.iter().map(|cell| headline_row(&scenario, cell)).collect());
+    let rows =
+        cells.iter().zip(&walls).map(|(cell, &wall_s)| headline_row(&scenario, cell, wall_s));
+    append_bench_rows(path, rows.collect());
 }

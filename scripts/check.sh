@@ -37,8 +37,8 @@ cargo run --release --example trace_forensics -- --smoke
 echo "==> metro smoke (tiny city: build + concurrent attack, 1 == 8 workers)"
 cargo run --release --example metro -- --smoke
 
-echo "==> live-world smoke (tiny world: zero-rate == frozen, closed audits, 1 == 8 workers)"
-LIVE_SCENARIO=tiny cargo run --release --example live_world
+echo "==> live-world sweep (HS1 world: zero-rate == frozen, closed audits, 1 == 8 workers)"
+cargo run --release --example live_world
 
 echo "==> crash-only attacker smoke (kill-point sweep, bit-identical process resume)"
 cargo run --release --example crash -- --smoke
