@@ -67,8 +67,21 @@ fn html_scrape(c: &mut Criterion) {
     group.bench_function("parse_profile_page", |b| {
         b.iter(|| black_box(hsp_crawler::parse_profile(&html)))
     });
-    group.bench_function("render_parse_roundtrip", |b| {
+    group.bench_function("dom_parse_profile_page", |b| {
         b.iter(|| black_box(hsp_markup::parse(&html)))
+    });
+    // A full 30-entry friend-list page with its next-page link.
+    let entries: Vec<(UserId, String)> =
+        (0..30).map(|i| (UserId(1_000 + i), format!("Friend Number{i}"))).collect();
+    let listing = hsp_platform::render::listing_page_stamped(
+        "friends",
+        &entries,
+        Some("/friends/u5?page=2".into()),
+        4,
+    );
+    group.throughput(Throughput::Bytes(listing.len() as u64));
+    group.bench_function("parse_listing_page", |b| {
+        b.iter(|| black_box(hsp_crawler::scrape::parse_listing_stamped(&listing)))
     });
     group.finish();
 }

@@ -1275,7 +1275,7 @@ impl<E: Exchange> Crawler<E> {
             if resp.status == Status::FORBIDDEN {
                 return Err(CrawlError::Denied(resp.status));
             }
-            let (ids, next) = parse_listing(&resp.body_string());
+            let (ids, next) = parse_listing(&String::from_utf8_lossy(&resp.body));
             out.extend(ids);
             match next {
                 Some(n) => url = n,
@@ -1311,10 +1311,17 @@ fn auth_post<E: Exchange>(exchange: &mut E, req: &Request) -> Result<(Response, 
 }
 
 /// An HTML page is complete iff the renderer's closing tag made it
-/// through — the crawler's defense against silent truncation.
+/// through — the crawler's defense against silent truncation. Reads the
+/// body's bytes in place.
 pub(crate) fn html_complete(resp: &Response) -> bool {
     let is_html = resp.headers.get("content-type").is_some_and(|ct| ct.contains("text/html"));
-    !is_html || resp.body_string().trim_end().ends_with("</html>")
+    !is_html || ends_with_html_close(&resp.body)
+}
+
+/// Whether `body` ends with `</html>`, trailing ASCII whitespace aside.
+fn ends_with_html_close(body: &[u8]) -> bool {
+    let end = body.iter().rposition(|b| !b.is_ascii_whitespace()).map_or(0, |i| i + 1);
+    body[..end].ends_with(b"</html>")
 }
 
 impl<E: Exchange> OsnAccess for Crawler<E> {
@@ -1347,7 +1354,7 @@ impl<E: Exchange> OsnAccess for Crawler<E> {
         if resp.status == Status::FORBIDDEN {
             return Err(CrawlError::Denied(resp.status));
         }
-        let profile = parse_profile(&resp.body_string());
+        let profile = parse_profile(&String::from_utf8_lossy(&resp.body));
         if profile.uid != Some(uid) {
             return Err(CrawlError::BadPage("profile uid mismatch"));
         }
@@ -1412,7 +1419,7 @@ impl<E: Exchange> OsnAccess for Crawler<E> {
                     self.friends_cache.insert(uid, None);
                     return Ok(None);
                 }
-                let (ids, next, gen) = parse_listing_stamped(&resp.body_string());
+                let (ids, next, gen) = parse_listing_stamped(&String::from_utf8_lossy(&resp.body));
                 if first_page {
                     first_page = false;
                     list_gen = gen;
@@ -1444,7 +1451,7 @@ impl<E: Exchange> OsnAccess for Crawler<E> {
                 self.note_stale_refetch(1);
                 if let Ok(resp) = self.fetch(Endpoint::Profile, None, &format!("/profile/{uid}")) {
                     if resp.status.is_success() {
-                        let p = parse_profile(&resp.body_string());
+                        let p = parse_profile(&String::from_utf8_lossy(&resp.body));
                         if p.uid == Some(uid) {
                             if p.tombstoned {
                                 self.note_tombstone(uid);
@@ -1498,7 +1505,7 @@ impl<E: Exchange> OsnAccess for Crawler<E> {
                 self.circles_cache.insert((uid, incoming), None);
                 return Ok(None);
             }
-            let (ids, next) = parse_listing(&resp.body_string());
+            let (ids, next) = parse_listing(&String::from_utf8_lossy(&resp.body));
             out.extend(ids);
             match next {
                 Some(n) => url = n,
@@ -1810,5 +1817,45 @@ mod tests {
         let snap = platform.obs.snapshot();
         assert_eq!(snap.counter("crawler_account_suspensions_total"), 1);
         assert!(snap.counter("crawler_accounts_recruited_total") >= 1);
+    }
+
+    /// The byte check gives the same verdict as the string check it
+    /// replaced (`body_string().trim_end().ends_with("</html>")`) on
+    /// every byte prefix of a rendered profile page and listing page,
+    /// including prefixes that cut a UTF-8 sequence, and on the whole
+    /// pages with trailing whitespace.
+    #[test]
+    fn html_close_check_matches_the_string_check_on_every_prefix() {
+        use hsp_graph::{Date, School, SchoolKind};
+        use hsp_platform::render::{listing_page_stamped, profile_page};
+        let mut net = hsp_graph::Network::new(Date::ymd(2012, 3, 15));
+        let city = net.add_city("Rivière", "NY");
+        let school = net.add_school(School {
+            id: SchoolId(0),
+            name: "Lycée & <High>".into(),
+            city,
+            kind: SchoolKind::HighSchool,
+            public_enrollment_estimate: 500,
+        });
+        let mut view = hsp_policy::PublicView::minimal(
+            UserId(5),
+            "Zoë \u{a0}Hale".into(),
+            Some(hsp_graph::Gender::Female),
+            true,
+            vec![school],
+        );
+        view.current_city = Some(city);
+        let entries = [(UserId(1), "Åsa Berg".to_string()), (UserId(2), "Chloé".to_string())];
+        let listing =
+            listing_page_stamped("friends", &entries, Some("/friends/u5?page=1&x=2".into()), 3);
+        for page in [profile_page(&net, &view), listing] {
+            let bytes = page.as_bytes();
+            let padded = [bytes, b" \n\t\r".as_slice()].concat();
+            for body in (0..=bytes.len()).map(|cut| &bytes[..cut]).chain([padded.as_slice()]) {
+                let old = String::from_utf8_lossy(body).trim_end().ends_with("</html>");
+                assert_eq!(ends_with_html_close(body), old, "{:?}", String::from_utf8_lossy(body));
+            }
+            assert!(ends_with_html_close(bytes));
+        }
     }
 }

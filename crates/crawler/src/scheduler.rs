@@ -360,7 +360,7 @@ impl<E: Exchange> AccountWorker<E> {
             if resp.status == Status::FORBIDDEN {
                 return JobOutcome::Fatal(CrawlError::Denied(resp.status));
             }
-            let (ids, next) = parse_listing(&resp.body_string());
+            let (ids, next) = parse_listing(&String::from_utf8_lossy(&resp.body));
             out.extend(ids);
             match next {
                 Some(n) => url = n,
@@ -378,7 +378,7 @@ impl<E: Exchange> AccountWorker<E> {
         if resp.status == Status::FORBIDDEN {
             return JobOutcome::Fatal(CrawlError::Denied(resp.status));
         }
-        let profile = parse_profile(&resp.body_string());
+        let profile = parse_profile(&String::from_utf8_lossy(&resp.body));
         if profile.uid != Some(uid) {
             return JobOutcome::Fatal(CrawlError::BadPage("profile uid mismatch"));
         }
@@ -421,7 +421,7 @@ impl<E: Exchange> AccountWorker<E> {
                 if resp.status == Status::FORBIDDEN {
                     return JobOutcome::Done(JobOut::Friends(None, false, None));
                 }
-                let (ids, next, gen) = parse_listing_stamped(&resp.body_string());
+                let (ids, next, gen) = parse_listing_stamped(&String::from_utf8_lossy(&resp.body));
                 if first_page {
                     first_page = false;
                     list_gen = gen;
@@ -453,7 +453,7 @@ impl<E: Exchange> AccountWorker<E> {
             if resp.status == Status::FORBIDDEN {
                 return JobOutcome::Done(JobOut::Circles(None));
             }
-            let (ids, next) = parse_listing(&resp.body_string());
+            let (ids, next) = parse_listing(&String::from_utf8_lossy(&resp.body));
             out.extend(ids);
             match next {
                 Some(n) => url = n,

@@ -4,10 +4,25 @@
 //! relevant data from the HTML source code"). Parsing is defensive: a
 //! page that lacks a field simply yields `None` — the attacker can only
 //! work with what is rendered.
+//!
+//! The scrapers read the scraping contract of `hsp_platform::render`:
+//! the tag names, `id`/`class` values and `data-*`/`href` attributes it
+//! writes for each field. A page is read in one forward pass over its
+//! start tags, with no DOM. Each tag keeps only the contract attributes,
+//! as slices of the page, and a value is entity-decoded only when it
+//! contains `&`. The only text read is the `h1.name` and `span.gender`
+//! text, up to the next `</`; listing names are never materialised.
+//! Comments, declarations and close tags are stepped over by the rules
+//! of [`hsp_markup::parse`], so the scan sees the elements that parser
+//! would build. A profile field is matched by its tag and class anywhere
+//! after `#profile`, which on every rendered page is where a descendant
+//! selector would find it. The DOM-based scraper this replaced is kept,
+//! verbatim, as the reference oracle of `tests/scrape_differential.rs`.
 
 use hsp_graph::{CityId, Date, SchoolId, UserId};
-use hsp_markup::{parse, select, select_first, Element};
+use hsp_markup::unescape;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Education entry as scraped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -97,63 +112,98 @@ impl ScrapedProfile {
 
 /// Parse a profile page.
 pub fn parse_profile(html: &str) -> ScrapedProfile {
-    let dom = parse(html);
     let mut p = ScrapedProfile::default();
-    let Some(root) = select_first(&dom, "#profile") else {
+    let mut tags = Tags::new(html);
+    let Some(root) = tags.find(|t| t.attr(Attr::Id).as_deref() == Some("profile")) else {
         return p;
     };
-    p.uid = root.get_attr("data-uid").and_then(UserId::parse);
-    p.generation = root.get_attr("data-gen").and_then(|g| g.parse().ok());
-    p.tombstoned = root.get_attr("data-tombstone") == Some("1");
-    if let Some(h1) = select_first(root, "h1.name") {
-        p.name = h1.text_content();
-    }
-    p.has_photo = select_first(root, "img.profile-photo").is_some();
-    p.gender = select_first(root, "span.gender").map(Element::text_content);
-    for li in select(root, "ul.networks li.network") {
-        if let Some(s) = li.get_attr("data-school").and_then(SchoolId::parse) {
-            p.networks.push(s);
-        }
-    }
-    for li in select(root, "ul.education li.edu") {
-        let Some(school) = li.get_attr("data-school").and_then(SchoolId::parse) else {
+    p.uid = root.attr(Attr::DataUid).and_then(|v| UserId::parse(&v));
+    p.generation = root.attr(Attr::DataGen).and_then(|g| g.parse().ok());
+    p.tombstoned = root.attr(Attr::DataTombstone).as_deref() == Some("1");
+    // Single-valued fields take the first matching element, as a
+    // `select_first` would; the outer `Option` records "seen".
+    let mut name = None;
+    let mut gender = None;
+    let mut current_city = None;
+    let mut hometown = None;
+    let mut birthday = None;
+    let mut photos_shared = None;
+    let mut wall_posts = None;
+    while let Some(tag) = tags.next() {
+        let Some(class) = tag.attr(Attr::Class) else {
             continue;
         };
-        let kind = match li.get_attr("data-kind") {
-            Some("highschool") => ScrapedEduKind::HighSchool,
-            Some("college") => ScrapedEduKind::College,
-            Some("gradschool") => ScrapedEduKind::GraduateSchool,
-            _ => continue,
-        };
-        let grad_year = li.get_attr("data-year").and_then(|y| y.parse().ok());
-        p.education.push(ScrapedEducation { school, kind, grad_year });
-    }
-    p.current_city = select_first(root, "span.current-city")
-        .and_then(|e| e.get_attr("data-city"))
-        .and_then(CityId::parse);
-    p.hometown = select_first(root, "span.hometown")
-        .and_then(|e| e.get_attr("data-city"))
-        .and_then(CityId::parse);
-    p.relationship = select_first(root, "span.relationship").is_some();
-    p.interested_in = select_first(root, "span.interested-in").is_some();
-    p.birthday = select_first(root, "span.birthday")
-        .and_then(|e| e.get_attr("data-date"))
-        .and_then(parse_date);
-    p.photos_shared = select_first(root, "span.photos-count")
-        .and_then(|e| e.get_attr("data-count"))
-        .and_then(|c| c.parse().ok());
-    p.wall_posts = select_first(root, "span.wall-count")
-        .and_then(|e| e.get_attr("data-count"))
-        .and_then(|c| c.parse().ok());
-    for li in select(root, "ul.wall li.wall-post") {
-        if let Some(author) = li.get_attr("data-author").and_then(UserId::parse) {
-            p.wall_posters.push(author);
+        for token in class.split_ascii_whitespace() {
+            match token {
+                "name" if tag.is("h1") => {
+                    name.get_or_insert_with(|| tags.text());
+                }
+                "profile-photo" if tag.is("img") => p.has_photo = true,
+                "gender" if tag.is("span") => {
+                    gender.get_or_insert_with(|| tags.text());
+                }
+                "network" if tag.is("li") => {
+                    p.networks.extend(tag.attr(Attr::DataSchool).and_then(|v| SchoolId::parse(&v)));
+                }
+                "edu" if tag.is("li") => p.education.extend(education(&tag)),
+                "current-city" if tag.is("span") => {
+                    current_city.get_or_insert_with(|| city(&tag));
+                }
+                "hometown" if tag.is("span") => {
+                    hometown.get_or_insert_with(|| city(&tag));
+                }
+                "relationship" if tag.is("span") => p.relationship = true,
+                "interested-in" if tag.is("span") => p.interested_in = true,
+                "birthday" if tag.is("span") => {
+                    birthday.get_or_insert_with(|| {
+                        tag.attr(Attr::DataDate).and_then(|d| parse_date(&d))
+                    });
+                }
+                "photos-count" if tag.is("span") => {
+                    photos_shared.get_or_insert_with(|| count(&tag));
+                }
+                "wall-count" if tag.is("span") => {
+                    wall_posts.get_or_insert_with(|| count(&tag));
+                }
+                "wall-post" if tag.is("li") => {
+                    p.wall_posters
+                        .extend(tag.attr(Attr::DataAuthor).and_then(|v| UserId::parse(&v)));
+                }
+                "contact" if tag.is("div") => p.has_contact_info = true,
+                "friends-link" if tag.is("a") => p.friend_list_visible = true,
+                "message-button" if tag.is("a") => p.message_button = true,
+                _ => {}
+            }
         }
     }
-    p.has_contact_info = select_first(root, "div.contact").is_some();
-    p.friend_list_visible = select_first(root, "a.friends-link").is_some();
-    p.message_button = select_first(root, "a.message-button").is_some();
+    p.name = name.unwrap_or_default();
+    p.gender = gender;
+    p.current_city = current_city.flatten();
+    p.hometown = hometown.flatten();
+    p.birthday = birthday.flatten();
+    p.photos_shared = photos_shared.flatten();
+    p.wall_posts = wall_posts.flatten();
     p
+}
+
+fn education(li: &Tag<'_>) -> Option<ScrapedEducation> {
+    let school = li.attr(Attr::DataSchool).and_then(|v| SchoolId::parse(&v))?;
+    let kind = match li.attr(Attr::DataKind).as_deref() {
+        Some("highschool") => ScrapedEduKind::HighSchool,
+        Some("college") => ScrapedEduKind::College,
+        Some("gradschool") => ScrapedEduKind::GraduateSchool,
+        _ => return None,
+    };
+    let grad_year = li.attr(Attr::DataYear).and_then(|y| y.parse().ok());
+    Some(ScrapedEducation { school, kind, grad_year })
+}
+
+fn city(span: &Tag<'_>) -> Option<CityId> {
+    span.attr(Attr::DataCity).and_then(|v| CityId::parse(&v))
+}
+
+fn count(span: &Tag<'_>) -> Option<u32> {
+    span.attr(Attr::DataCount).and_then(|c| c.parse().ok())
 }
 
 /// Parse a listing page (search results or a friend-list page): the
@@ -168,19 +218,235 @@ pub fn parse_listing(html: &str) -> (Vec<UserId>, Option<String>) {
 /// crawler compares stamps across a pagination run — and against the
 /// owner's profile stamp — to detect a list that mutated mid-read.
 pub fn parse_listing_stamped(html: &str) -> (Vec<UserId>, Option<String>, Option<u64>) {
-    let dom = parse(html);
-    let ids = select(&dom, "a.profile-link")
-        .into_iter()
-        .filter_map(|a| {
-            a.get_attr("href").and_then(|h| h.strip_prefix("/profile/")).and_then(UserId::parse)
+    let mut ids = Vec::new();
+    let mut next = None;
+    let mut gen = None;
+    for tag in Tags::new(html) {
+        if tag.is("a") && tag.has_class("profile-link") {
+            let href = tag.attr(Attr::Href);
+            ids.extend(
+                href.as_deref().and_then(|h| h.strip_prefix("/profile/")).and_then(UserId::parse),
+            );
+        }
+        if next.is_none() && tag.attr(Attr::Id).as_deref() == Some("next-page") {
+            next = Some(tag.attr(Attr::Href).map(Cow::into_owned));
+        }
+        if gen.is_none() && tag.is("ul") {
+            gen = Some(tag.attr(Attr::DataGen).and_then(|g| g.parse().ok()));
+        }
+    }
+    (ids, next.flatten(), gen.flatten())
+}
+
+/// The attributes `hsp_platform::render` writes for scrapers to read —
+/// the scraping contract. The scan keeps these and steps over the rest.
+#[derive(Clone, Copy)]
+enum Attr {
+    Id,
+    Class,
+    Href,
+    DataUid,
+    DataGen,
+    DataTombstone,
+    DataSchool,
+    DataKind,
+    DataYear,
+    DataCity,
+    DataDate,
+    DataCount,
+    DataAuthor,
+}
+
+/// Attribute names, indexed by [`Attr`].
+const CONTRACT: [&str; 13] = [
+    "id",
+    "class",
+    "href",
+    "data-uid",
+    "data-gen",
+    "data-tombstone",
+    "data-school",
+    "data-kind",
+    "data-year",
+    "data-city",
+    "data-date",
+    "data-count",
+    "data-author",
+];
+
+/// One start tag: its name and its contract attributes' raw values.
+struct Tag<'a> {
+    name: &'a str,
+    values: [Option<&'a str>; CONTRACT.len()],
+}
+
+impl<'a> Tag<'a> {
+    /// Tag names compare case-insensitively, as HTML does.
+    fn is(&self, name: &str) -> bool {
+        self.name.eq_ignore_ascii_case(name)
+    }
+
+    /// An attribute's value, borrowed from the page unless it carries an
+    /// entity.
+    fn attr(&self, attr: Attr) -> Option<Cow<'a, str>> {
+        self.values[attr as usize].map(|v| {
+            if v.contains('&') {
+                Cow::Owned(unescape(v))
+            } else {
+                Cow::Borrowed(v)
+            }
         })
-        .collect();
-    let next =
-        select_first(&dom, "#next-page").and_then(|a| a.get_attr("href")).map(str::to_string);
-    let gen = select_first(&dom, "ul")
-        .and_then(|ul| ul.get_attr("data-gen"))
-        .and_then(|g| g.parse().ok());
-    (ids, next, gen)
+    }
+
+    fn has_class(&self, class: &str) -> bool {
+        self.attr(Attr::Class).is_some_and(|c| c.split_ascii_whitespace().any(|t| t == class))
+    }
+}
+
+/// Forward scan over a page's start tags, in document order. Comments,
+/// declarations and close tags are stepped over by the same rules as
+/// [`hsp_markup::parse`], so the scan yields exactly the elements that
+/// parser would build, without building them.
+struct Tags<'a> {
+    html: &'a str,
+    pos: usize,
+}
+
+impl<'a> Tags<'a> {
+    fn new(html: &'a str) -> Self {
+        Tags { html, pos: 0 }
+    }
+
+    /// The text after the tag just returned: everything up to the next
+    /// `</`, entity-decoded, and empty if it is only whitespace.
+    fn text(&self) -> String {
+        let rest = &self.html[self.pos..];
+        let raw = rest.find("</").map_or(rest, |end| &rest[..end]);
+        let text = if raw.contains('&') { unescape(raw) } else { raw.to_string() };
+        if text.trim().is_empty() {
+            String::new()
+        } else {
+            text
+        }
+    }
+
+    /// Step past the next `stop`, or to the end of the page.
+    fn skip_past(&mut self, stop: char) {
+        self.pos = self.html[self.pos..].find(stop).map_or(self.html.len(), |i| self.pos + i + 1);
+    }
+
+    /// Read the start tag whose name begins at `pos`, leaving `pos` after
+    /// its closing `>`.
+    fn start_tag(&mut self) -> Tag<'a> {
+        let html = self.html;
+        let name_len = html[self.pos..].bytes().position(|b| !is_name_byte(b));
+        let name_end = name_len.map_or(html.len(), |n| self.pos + n);
+        let mut tag = Tag { name: &html[self.pos..name_end], values: [None; CONTRACT.len()] };
+        let mut attrs = Attrs { s: html, pos: name_end };
+        for (name, value) in attrs.by_ref() {
+            // A repeated attribute keeps its last value, as the DOM does.
+            if let Some(i) = CONTRACT.iter().position(|c| c.eq_ignore_ascii_case(name)) {
+                tag.values[i] = Some(value);
+            }
+        }
+        let tail = &html[attrs.pos..];
+        self.pos =
+            attrs.pos + if tail.starts_with("/>") { 2 } else { usize::from(!tail.is_empty()) };
+        tag
+    }
+}
+
+impl<'a> Iterator for Tags<'a> {
+    type Item = Tag<'a>;
+
+    fn next(&mut self) -> Option<Tag<'a>> {
+        loop {
+            self.pos += self.html[self.pos..].find('<')?;
+            let rest = &self.html.as_bytes()[self.pos..];
+            match rest.get(1) {
+                Some(c) if c.is_ascii_alphabetic() => {
+                    self.pos += 1;
+                    return Some(self.start_tag());
+                }
+                Some(b'/') if rest.get(2).is_some_and(|&b| is_name_byte(b)) => self.skip_past('>'),
+                Some(b'!') if rest.starts_with(b"<!--") => {
+                    let body = &self.html[self.pos + 4..];
+                    self.pos =
+                        body.find("-->").map_or(self.html.len(), |end| self.pos + 4 + end + 3);
+                }
+                Some(b'!') => self.skip_past('>'),
+                _ => self.pos += 1,
+            }
+        }
+    }
+}
+
+fn is_name_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b':')
+}
+
+/// The `name="value"` pairs of one start tag from `pos` on, by the same
+/// rules as [`hsp_markup::parse`]: quoted or unquoted values, bare names
+/// valued `""`, stray characters skipped. Stops at `>`, `/>` or the end
+/// of the input, leaving `pos` there.
+struct Attrs<'a> {
+    s: &'a str,
+    pos: usize,
+}
+
+impl<'a> Attrs<'a> {
+    fn skip_whitespace(&mut self) {
+        let b = self.s.as_bytes();
+        while b.get(self.pos).is_some_and(u8::is_ascii_whitespace) {
+            self.pos += 1;
+        }
+    }
+
+    /// Advance to the first byte matching `stop` (or the end); return
+    /// what was passed over.
+    fn take_until(&mut self, stop: impl Fn(u8) -> bool) -> &'a str {
+        let start = self.pos;
+        let len = self.s.as_bytes()[start..].iter().position(|&b| stop(b));
+        self.pos = len.map_or(self.s.len(), |n| start + n);
+        &self.s[start..self.pos]
+    }
+}
+
+impl<'a> Iterator for Attrs<'a> {
+    type Item = (&'a str, &'a str);
+
+    fn next(&mut self) -> Option<(&'a str, &'a str)> {
+        loop {
+            self.skip_whitespace();
+            let rest = &self.s[self.pos..];
+            if rest.is_empty() || rest.starts_with('>') || rest.starts_with("/>") {
+                return None;
+            }
+            let name =
+                self.take_until(|b| b.is_ascii_whitespace() || matches!(b, b'=' | b'>' | b'/'));
+            if name.is_empty() {
+                // A stray `=` or `/`: skip it to guarantee progress.
+                self.pos += 1;
+                continue;
+            }
+            self.skip_whitespace();
+            if self.s.as_bytes().get(self.pos) != Some(&b'=') {
+                return Some((name, ""));
+            }
+            self.pos += 1;
+            self.skip_whitespace();
+            let value = match self.s.as_bytes().get(self.pos) {
+                Some(&q @ (b'"' | b'\'')) => {
+                    self.pos += 1;
+                    let value = self.take_until(|b| b == q);
+                    self.pos = (self.pos + 1).min(self.s.len());
+                    value
+                }
+                _ => self.take_until(|b| b.is_ascii_whitespace() || b == b'>'),
+            };
+            return Some((name, value));
+        }
+    }
 }
 
 fn parse_date(s: &str) -> Option<Date> {
