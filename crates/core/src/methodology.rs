@@ -14,8 +14,8 @@ pub fn collect_core(
 ) -> Result<CoreCollection, CrawlError> {
     let seeds = access.collect_seeds(config.school)?;
     // Two passes, each preceded by a batch hint: parallel accessors
-    // fetch the whole batch concurrently, sequential ones no-op and
-    // fetch lazily below — either way the per-user decisions (and thus
+    // fetch the whole batch concurrently, others (snapshot replay, test
+    // stubs) no-op and fetch lazily below — either way the per-user decisions (and thus
     // the results) are identical.
     access.prefetch_profiles(&seeds)?;
     let mut claiming = Vec::new();

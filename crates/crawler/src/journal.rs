@@ -277,6 +277,32 @@ pub struct LaneState {
     /// Next trace ordinal on this lane.
     pub trace_ordinal: u64,
     pub transport: TransportJournalState,
+    /// Pacing, auth-resend and evasion state (absent in older journals).
+    #[serde(default)]
+    pub seat: SeatState,
+}
+
+/// The per-seat crawl state beyond transport, clock and breakers: what
+/// the seat's next politeness sleep, auth resend tally and decoy pick
+/// depend on.
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+pub struct SeatState {
+    /// Pushback multiplier on the politeness spacing; 0 and 1 both mean
+    /// the base rate.
+    pub widen_factor: u64,
+    /// Clean fetches since the last widening or narrowing step.
+    pub calm_streak: u32,
+    /// Application-level auth-POST resends issued.
+    pub auth_retries: u64,
+    /// Adaptive strategy: politeness draws taken on this seat's lane.
+    pub adaptive_draws: u64,
+    /// Adaptive strategy: productive profile fetches (decoy cadence).
+    pub productive_profiles: u64,
+    /// Adaptive strategy: decoys issued (cursor into `decoy_pool`).
+    pub decoy_cursor: u64,
+    /// Adaptive strategy: this seat's scraped, non-tombstoned profiles,
+    /// in insertion order — the decoy targets.
+    pub decoy_pool: Vec<UserId>,
 }
 
 /// Scheduler-level resume state at a commit boundary.

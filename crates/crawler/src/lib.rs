@@ -8,13 +8,12 @@
 //! analysis ([`effort`]), and pacing requests with a (virtual)
 //! politeness clock (§3.2).
 //!
-//! [`Crawler`] is generic over the HTTP transport: identical attack
-//! code runs over loopback TCP or in-process.
-//!
-//! [`scheduler::ParallelCrawler`] runs the same attack with the
-//! sock-puppet fleet actually concurrent — one worker lane per
-//! account, deterministic by construction (results are bit-identical
-//! at any worker count).
+//! The crawl engine is [`scheduler::ParallelCrawler`]: the sock-puppet
+//! fleet, one worker seat per account, deterministic by construction
+//! (results are bit-identical at any worker count). It is generic over
+//! the HTTP transport, so identical attack code runs over loopback TCP
+//! or in-process. [`driver`] holds the pieces it is built from: the
+//! [`OsnAccess`] interface, errors, politeness, breakers and metrics.
 
 pub mod driver;
 pub mod effort;
@@ -23,9 +22,7 @@ pub mod scheduler;
 pub mod scrape;
 pub mod snapshot;
 
-pub use driver::{
-    AdaptiveStrategy, BreakerConfig, CrawlError, Crawler, CrawlerBuilder, OsnAccess, Politeness,
-};
+pub use driver::{AdaptiveStrategy, BreakerConfig, CrawlError, OsnAccess, Politeness};
 pub use effort::{Effort, Endpoint};
 pub use journal::{
     fold_state, recover, recover_bytes, recover_instrumented, Journal, JournalError,

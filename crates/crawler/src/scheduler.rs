@@ -21,11 +21,22 @@
 //! account's unfinished queue items into a leftover pool, the fleet
 //! doubles via (strictly serial) recruitment after the batch joins —
 //! account indices on the platform are assigned by arrival order — and
-//! the leftovers are redistributed over the survivors. The sequential
-//! [`crate::Crawler`] instead rotates accounts per request, so the two
-//! engines issue different request streams once faults strike: under
-//! `FaultPlan::chaos()` they reach the same seeds and Table 4 but not
-//! the same Effort or checkpoint (`tests/engine_equivalence.rs`).
+//! the leftovers are redistributed over the survivors.
+//!
+//! Everything else an account does to survive is per-seat state in its
+//! worker: re-login, auth-POST resends, breakers, retrying transport
+//! failures the retry layer gave up on, pushback pacing (widen on a
+//! shed 503 or a 429, narrow after calm), and the
+//! [`crate::AdaptiveStrategy`] maneuvers (jitter on the seat's own lane,
+//! per-seat warm-up, decoys drawn from the seat's own scraped
+//! profiles). Sheds the transport absorbed are visible only in the
+//! shared [`RetryStats`], so they are folded into pacing on the
+//! scheduler thread after each batch joins.
+//!
+//! Seats normally keep their own virtual clocks. A fleet whose seats
+//! share one clock (the platform's, so a detector's rate windows and
+//! the fleet see one timeline) runs at one worker, where queues run in
+//! order on the calling thread.
 //!
 //! Because politeness is virtual time, "how long would this crawl
 //! take" is modeled rather than slept: each batch contributes the
@@ -35,21 +46,22 @@
 //! attack's virtual wall-clock.
 
 use crate::driver::{
-    count_request, html_complete, record_root_span, trace_lane, Breaker, BreakerConfig, CrawlError,
-    CrawlerMetrics, OsnAccess, Politeness,
+    auth_post, count_request, html_complete, record_root_span, trace_lane, AdaptiveStrategy,
+    Breaker, BreakerConfig, CrawlError, CrawlerMetrics, OsnAccess, Politeness,
 };
 use crate::effort::{Effort, Endpoint};
 use crate::journal::{
     BreakerState, CirclesEntry, Journal, JournalError, JournalRecord, LaneState, ResumeState,
-    RetryStatsState, SchedState, TransportJournalState,
+    RetryStatsState, SchedState, SeatState, TransportJournalState,
 };
 use crate::scrape::{parse_listing, parse_listing_stamped, parse_profile, ScrapedProfile};
 use crate::snapshot::CrawlSnapshot;
 use hsp_graph::{SchoolId, UserId};
 use hsp_http::resilient::{
-    captcha_delay_ms, RetryStats, H_ACCOUNT_SUSPENDED, H_TRACE_ID, H_VIRTUAL_NOW,
+    captcha_delay_ms, is_shed, retryable_transport_error, RetryStats, H_ACCOUNT_SUSPENDED,
+    H_TRACE_ID, H_VIRTUAL_NOW,
 };
-use hsp_http::{Exchange, HttpError, Request, Status};
+use hsp_http::{Exchange, HttpError, Request, Response, Status};
 use hsp_obs::trace::TRACE_SEED;
 use hsp_obs::{FlightRecorder, Gauge, Histogram, Registry, TraceCtx, VirtualClock};
 use std::collections::{BTreeSet, HashMap};
@@ -57,13 +69,14 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// One account's transport plus its private timeline. The clock must
-/// be **per account** (not shared with other accounts): the resilient
-/// layer charges backoff and absorbed latency to it, and sharing one
-/// clock across concurrent accounts would make each account's apparent
-/// elapsed time depend on thread interleaving.
+/// One account's transport plus its timeline.
 pub struct AccountSeat<E: Exchange> {
     pub exchange: E,
+    /// The seat's virtual clock (`None`: a private counter). The
+    /// resilient layer charges backoff and absorbed latency to it. Seats
+    /// may share one clock only at `workers(1)`: above that, concurrent
+    /// accounts would advance it in thread-interleaving order, so the
+    /// builder refuses a shared clock there.
     pub clock: Option<Arc<VirtualClock>>,
 }
 
@@ -98,7 +111,7 @@ enum JobOutcome {
 }
 
 enum FetchOut {
-    Page(hsp_http::Response),
+    Page(Response),
     Suspended,
     Fatal(CrawlError),
 }
@@ -107,7 +120,9 @@ enum FetchOut {
 struct Shared {
     politeness: Politeness,
     breaker: BreakerConfig,
-    /// Per-job attempt budget (mirrors the sequential fetch loop).
+    /// Detector-evasion maneuvers; `None` = the naive crawler.
+    adaptive: Option<AdaptiveStrategy>,
+    /// Per-fetch attempt budget.
     budget: usize,
     metrics: Option<Arc<CrawlerMetrics>>,
     /// Flight recorder shared with the registry (trace propagation).
@@ -133,10 +148,10 @@ impl SchedMetrics {
     }
 }
 
-/// One sock-puppet account: exchange, session, effort ledger, private
-/// virtual timeline, and per-endpoint breakers. Only one thread drives
-/// an account at a time (queues are stolen whole), so the interior is
-/// plain data behind the scheduler's `Mutex`.
+/// One sock-puppet account: exchange, session, effort ledger, virtual
+/// timeline, per-endpoint breakers, and its pacing and evasion state.
+/// Only one thread drives an account at a time (queues are stolen
+/// whole), so the interior is plain data behind the scheduler's `Mutex`.
 struct AccountWorker<E: Exchange> {
     exchange: E,
     username: String,
@@ -152,9 +167,30 @@ struct AccountWorker<E: Exchange> {
     /// per-lane trace ids are deterministic at any worker count.
     lane: u64,
     trace_ordinal: u64,
+    /// Enrollment index: the adaptive strategy's jitter lane.
+    index: u64,
+    /// Pushback pacing, auth resends and adaptive cursors.
+    seat: SeatState,
 }
 
 impl<E: Exchange> AccountWorker<E> {
+    fn new(seat: AccountSeat<E>, index: usize, username: String) -> AccountWorker<E> {
+        AccountWorker {
+            exchange: seat.exchange,
+            lane: trace_lane(&username),
+            username,
+            password: "hunter2".to_string(),
+            suspended: false,
+            effort: Effort::default(),
+            local_ms: 0,
+            clock: seat.clock,
+            breakers: HashMap::new(),
+            trace_ordinal: 0,
+            index: index as u64,
+            seat: SeatState::default(),
+        }
+    }
+
     fn now_ms(&self) -> u64 {
         match &self.clock {
             Some(clock) => clock.now_ms(),
@@ -181,11 +217,54 @@ impl<E: Exchange> AccountWorker<E> {
         Some((Arc::clone(tracer), ctx))
     }
 
+    /// Sleep before this account's next request: the base spacing times
+    /// the pushback multiplier. The adaptive strategy jitters it from
+    /// the seat's own lane and multiplies it during the seat's warm-up.
     fn advance_politeness(&mut self, shared: &Shared) {
-        let ms = shared.politeness.sleep_ms_between_requests;
+        let base = shared.politeness.sleep_ms_between_requests * self.seat.widen_factor.max(1);
+        let ms = match &shared.adaptive {
+            None => base,
+            Some(s) => {
+                let n = self.seat.adaptive_draws;
+                self.seat.adaptive_draws += 1;
+                let mut ms = base * s.jitter_pm(self.index, n) / 1_000;
+                if n < s.warmup_requests {
+                    ms *= s.warmup_factor.max(1);
+                }
+                ms.max(1)
+            }
+        };
         self.advance_ms(ms);
         if let Some(m) = &shared.metrics {
             m.politeness_virtual_ms.add(ms);
+        }
+    }
+
+    /// The platform pushed back (shed 503 or 429): double the spacing,
+    /// capped, the way the paper's crawlers slowed down to stay under
+    /// the radar.
+    fn widen_pacing(&mut self, shared: &Shared) {
+        self.seat.calm_streak = 0;
+        let factor = self.seat.widen_factor.max(1);
+        let cap = shared.politeness.max_widen_factor.max(1);
+        if factor < cap {
+            self.seat.widen_factor = (factor * 2).min(cap);
+            if let Some(m) = &shared.metrics {
+                m.politeness_widened.inc();
+            }
+        }
+    }
+
+    /// A clean fetch: after enough calm in a row, narrow one step back
+    /// toward the base rate.
+    fn note_fetch_success(&mut self, shared: &Shared) {
+        if self.seat.widen_factor <= 1 {
+            return;
+        }
+        self.seat.calm_streak += 1;
+        if self.seat.calm_streak >= shared.politeness.narrow_after_successes {
+            self.seat.calm_streak = 0;
+            self.seat.widen_factor /= 2;
         }
     }
 
@@ -232,8 +311,8 @@ impl<E: Exchange> AccountWorker<E> {
 
     /// Pay any `x-captcha` interstitial the sybil detector attached to
     /// this page: the "solve time" lands on this account's timeline and
-    /// on its effort ledger, exactly like the sequential crawler's.
-    fn absorb_captcha(&mut self, resp: &hsp_http::Response, shared: &Shared) {
+    /// on its effort ledger.
+    fn absorb_captcha(&mut self, resp: &Response, shared: &Shared) {
         let Some(ms) = captcha_delay_ms(resp) else { return };
         self.effort.captcha_challenges += 1;
         self.effort.captcha_virtual_ms += ms;
@@ -244,27 +323,58 @@ impl<E: Exchange> AccountWorker<E> {
         }
     }
 
-    fn relogin(&mut self, shared: &Shared) -> Result<(), CrawlError> {
-        let (username, password) = (self.username.clone(), self.password.clone());
+    /// POST this account's auth form to `path` (`/signup` or `/login`)
+    /// through [`auth_post`]. Every attempt is billed before an error
+    /// returns; attempts past the first count as auth retries.
+    fn auth(&mut self, path: &str, shared: &Shared) -> Result<Response, CrawlError> {
         let trace = self.next_trace_ctx(shared);
-        let mut req = Request::post_form("/login", &[("user", &username), ("pass", &password)]);
+        let mut req =
+            Request::post_form(path, &[("user", &self.username), ("pass", &self.password)]);
         if let Some((_, ctx)) = &trace {
             req = req.header(H_TRACE_ID, ctx.header_value());
         }
         let begin_ms = self.now_ms();
-        let result = self.exchange.exchange(req);
+        let (result, attempts) = auth_post(&mut self.exchange, &req);
         record_root_span(&trace, Endpoint::Auth, begin_ms, self.now_ms(), result.as_ref().ok());
-        let resp = result?;
-        count_request(&mut self.effort, shared.metrics.as_deref(), Endpoint::Auth);
+        for _ in 0..attempts {
+            count_request(&mut self.effort, shared.metrics.as_deref(), Endpoint::Auth);
+        }
+        let retries = attempts - 1;
+        if retries > 0 {
+            self.seat.auth_retries += retries;
+            if let Some(m) = &shared.metrics {
+                m.auth_retries.add(retries);
+            }
+        }
+        Ok(result?)
+    }
+
+    /// Sign up and log in. An already-registered account is fine: the
+    /// attacker reuses it by logging in. That also covers a signup whose
+    /// response was lost to transport chaos after the server processed
+    /// it — the resend sees 400 "already registered".
+    fn enroll(&mut self, shared: &Shared) -> Result<(), CrawlError> {
+        let resp = self.auth("/signup", shared)?;
+        if !resp.status.is_success() && resp.status != Status::BAD_REQUEST {
+            return Err(CrawlError::Denied(resp.status));
+        }
+        self.relogin(shared)
+    }
+
+    fn relogin(&mut self, shared: &Shared) -> Result<(), CrawlError> {
+        let resp = self.auth("/login", shared)?;
         if !resp.status.is_success() {
             return Err(CrawlError::Denied(resp.status));
         }
         Ok(())
     }
 
-    /// The per-account resilient fetch loop — same survival rules as
-    /// the sequential crawler's, minus rotation (failover is the
-    /// scheduler's job, at queue granularity).
+    /// The per-account resilient fetch loop: GET `path`, surviving what
+    /// the transport retry layer couldn't fix — truncated pages
+    /// (re-fetch), lost sessions (re-login), persistent endpoint failure
+    /// (breaker cooldowns) and pushback (wider pacing). A suspension
+    /// ends the loop; failover is the scheduler's job, at queue
+    /// granularity. Every issued request is billed to `endpoint`.
     fn fetch(&mut self, endpoint: Endpoint, path: &str, shared: &Shared) -> FetchOut {
         let mut relogins = 0u32;
         let mut truncations = 0u32;
@@ -288,12 +398,20 @@ impl<E: Exchange> AccountWorker<E> {
             count_request(&mut self.effort, shared.metrics.as_deref(), endpoint);
             let resp = match result {
                 Ok(resp) => resp,
-                Err(HttpError::DeadlineExceeded) => {
+                // A deadline or transport failure that outlived the retry
+                // layer's budget (sustained chaos): breaker accounting,
+                // then try again rather than sinking the crawl.
+                Err(e)
+                    if matches!(e, HttpError::DeadlineExceeded)
+                        || retryable_transport_error(&e) =>
+                {
                     self.breaker_failure(endpoint, shared);
                     continue;
                 }
                 Err(e) => return FetchOut::Fatal(e.into()),
             };
+            // A flagged session pays its CAPTCHA interstitial on every
+            // served page, degraded ones included.
             self.absorb_captcha(&resp, shared);
             if resp.status.is_success() {
                 if !html_complete(&resp) {
@@ -305,13 +423,17 @@ impl<E: Exchange> AccountWorker<E> {
                     continue;
                 }
                 self.breaker_success(endpoint, shared);
+                self.note_fetch_success(shared);
                 return FetchOut::Page(resp);
             }
             match resp.status {
+                // Policy denial, not a fault: callers interpret 403.
                 Status::FORBIDDEN => {
                     self.breaker_success(endpoint, shared);
                     return FetchOut::Page(resp);
                 }
+                // Session lost (fault-injected expiry or eviction): log
+                // back in on the same account and re-issue.
                 Status::UNAUTHORIZED => {
                     relogins += 1;
                     if relogins > 2 {
@@ -325,13 +447,79 @@ impl<E: Exchange> AccountWorker<E> {
                     self.mark_suspended(shared);
                     return FetchOut::Suspended;
                 }
+                // A retryable status that outlived the retry layer's
+                // budget (sustained 429/5xx): breaker accounting, then
+                // try again. Server-side pushback (a shed or a rate
+                // limit, as opposed to a fault 5xx) also widens pacing.
                 s => {
                     last_denied = s;
+                    if is_shed(&resp) || s == Status::TOO_MANY_REQUESTS {
+                        self.widen_pacing(shared);
+                    }
                     self.breaker_failure(endpoint, shared);
                 }
             }
         }
         FetchOut::Fatal(CrawlError::Denied(last_denied))
+    }
+
+    /// Traffic mimicry (adaptive strategy only): after every
+    /// `decoy_every` productive profile fetches, re-fetch one of this
+    /// seat's already-scraped profiles, rotating through them in
+    /// insertion order so the schedule is a pure function of the seat's
+    /// own crawl. A failed decoy is dropped: mimicry is cover traffic,
+    /// never load-bearing.
+    fn after_profile(&mut self, uid: UserId, tombstoned: bool, shared: &Shared) {
+        let Some(s) = &shared.adaptive else { return };
+        if !tombstoned {
+            self.seat.decoy_pool.push(uid);
+        }
+        self.seat.productive_profiles += 1;
+        if s.decoy_every == 0 || !self.seat.productive_profiles.is_multiple_of(s.decoy_every) {
+            return;
+        }
+        let pool = &self.seat.decoy_pool;
+        if pool.is_empty() {
+            return;
+        }
+        let target = pool[(self.seat.decoy_cursor % pool.len() as u64) as usize];
+        self.seat.decoy_cursor += 1;
+        if let Some(m) = &shared.metrics {
+            m.adapt_decoys.inc();
+        }
+        let _ = self.fetch(Endpoint::Decoy, &format!("/profile/{target}"), shared);
+    }
+
+    /// POST one direct message, billed as soon as it is issued whether
+    /// or not a response comes back.
+    fn send_message(
+        &mut self,
+        uid: UserId,
+        body: &str,
+        shared: &Shared,
+    ) -> Result<bool, CrawlError> {
+        self.advance_politeness(shared);
+        let trace = self.next_trace_ctx(shared);
+        let begin_ms = self.now_ms();
+        let mut req = Request::post_form(format!("/message/{uid}"), &[("body", body)])
+            .header(H_VIRTUAL_NOW, begin_ms.to_string());
+        if let Some((_, ctx)) = &trace {
+            req = req.header(H_TRACE_ID, ctx.header_value());
+        }
+        let result = self.exchange.exchange(req);
+        record_root_span(&trace, Endpoint::Message, begin_ms, self.now_ms(), result.as_ref().ok());
+        count_request(&mut self.effort, shared.metrics.as_deref(), Endpoint::Message);
+        let resp = result?;
+        self.absorb_captcha(&resp, shared);
+        match resp.status {
+            s if s.is_success() => Ok(true),
+            Status::FORBIDDEN => Ok(false),
+            Status::TOO_MANY_REQUESTS if resp.headers.contains(H_ACCOUNT_SUSPENDED) => {
+                self.mark_suspended(shared);
+                Err(CrawlError::Denied(Status::TOO_MANY_REQUESTS))
+            }
+            s => Err(CrawlError::Denied(s)),
+        }
     }
 
     fn run(&mut self, job: Job, shared: &Shared) -> JobOutcome {
@@ -349,9 +537,8 @@ impl<E: Exchange> AccountWorker<E> {
         loop {
             let resp = match self.fetch(Endpoint::Seeds, &url, shared) {
                 FetchOut::Page(resp) => resp,
-                // Seeds are pinned to this account's own sample; like
-                // the sequential crawler, losing the account mid-sweep
-                // sinks the seed phase.
+                // Seeds are pinned to this account's own sample, so
+                // losing the account mid-sweep sinks the seed phase.
                 FetchOut::Suspended => {
                     return JobOutcome::Fatal(CrawlError::Denied(Status::TOO_MANY_REQUESTS))
                 }
@@ -382,6 +569,7 @@ impl<E: Exchange> AccountWorker<E> {
         if profile.uid != Some(uid) {
             return JobOutcome::Fatal(CrawlError::BadPage("profile uid mismatch"));
         }
+        self.after_profile(uid, profile.tombstoned, shared);
         JobOutcome::Done(JobOut::Profile(profile))
     }
 
@@ -494,14 +682,6 @@ fn makespan(durations: &[u64], workers: usize) -> u64 {
     load.into_iter().max().unwrap_or(0)
 }
 
-fn effort_requests(e: &Effort) -> u64 {
-    e.auth_requests
-        + e.seed_requests
-        + e.profile_requests
-        + e.friend_list_requests
-        + e.message_requests
-}
-
 /// Staged construction for a [`ParallelCrawler`].
 pub struct ParallelCrawlerBuilder<E: Exchange + Send> {
     label: String,
@@ -514,6 +694,7 @@ pub struct ParallelCrawlerBuilder<E: Exchange + Send> {
     retry_stats: Option<Arc<RetryStats>>,
     factory: Option<Box<dyn FnMut() -> AccountSeat<E>>>,
     journal: Option<Journal>,
+    adaptive: Option<AdaptiveStrategy>,
 }
 
 impl<E: Exchange + Send> ParallelCrawlerBuilder<E> {
@@ -529,6 +710,7 @@ impl<E: Exchange + Send> ParallelCrawlerBuilder<E> {
             retry_stats: None,
             factory: None,
             journal: None,
+            adaptive: None,
         }
     }
 
@@ -549,11 +731,11 @@ impl<E: Exchange + Send> ParallelCrawlerBuilder<E> {
         self
     }
 
-    /// Record attacker-side telemetry (the same `crawler_*` metrics the
-    /// sequential crawler emits, plus scheduler batch/throughput ones).
-    /// Also picks up the registry's flight recorder: when tracing is
-    /// enabled there, every issued request carries an `x-trace-id` and
-    /// records its crawl-side root span.
+    /// Record attacker-side telemetry (`crawler_*` metrics, scheduler
+    /// batch and throughput gauges included). Also picks up the
+    /// registry's flight recorder: when tracing is enabled there, every
+    /// issued request carries an `x-trace-id` and records its crawl-side
+    /// root span.
     pub fn observability(mut self, registry: &Registry) -> Self {
         self.obs =
             Some((Arc::new(CrawlerMetrics::register(registry)), SchedMetrics::register(registry)));
@@ -589,6 +771,13 @@ impl<E: Exchange + Send> ParallelCrawlerBuilder<E> {
     /// [`ParallelCrawlerBuilder::build_resumed`].
     pub fn journal(mut self, journal: Journal) -> Self {
         self.journal = Some(journal);
+        self
+    }
+
+    /// Enable detector-evasion maneuvers (jittered pacing, account
+    /// warm-up, decoy mimicry). See [`AdaptiveStrategy`].
+    pub fn adaptive(mut self, strategy: AdaptiveStrategy) -> Self {
+        self.adaptive = Some(strategy);
         self
     }
 
@@ -631,6 +820,7 @@ pub struct ParallelCrawler<E: Exchange + Send> {
     edge_refusals_synced: AtomicU64,
     fault_refusals_synced: AtomicU64,
     throttle_refusals_synced: AtomicU64,
+    sheds_synced: AtomicU64,
     sched_metrics: Option<SchedMetrics>,
     seeds_cache: HashMap<SchoolId, Vec<UserId>>,
     profile_cache: HashMap<UserId, ScrapedProfile>,
@@ -677,23 +867,28 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
         ParallelCrawlerBuilder::new(label)
     }
 
-    fn assemble(
-        seats: Vec<AccountSeat<E>>,
+    /// A crawler with empty caches and no accounts yet.
+    fn empty(
         builder: ParallelCrawlerBuilder<E>,
-    ) -> Result<ParallelCrawler<E>, CrawlError> {
-        let budget = 8 + 2 * builder.max_accounts.max(seats.len());
+        label: String,
+        seats: usize,
+    ) -> ParallelCrawler<E> {
         let (metrics, sched_metrics) = match builder.obs {
             Some((m, s)) => (Some(m), Some(s)),
             None => (None, None),
         };
-        let mut crawler = ParallelCrawler {
+        if let Some(m) = &sched_metrics {
+            m.workers.set(builder.workers as i64);
+        }
+        ParallelCrawler {
             accounts: Vec::new(),
-            label: builder.label,
+            label,
             workers: builder.workers,
             shared: Shared {
                 politeness: builder.politeness,
                 breaker: builder.breaker,
-                budget,
+                adaptive: builder.adaptive,
+                budget: 8 + 2 * builder.max_accounts.max(seats),
                 metrics,
                 tracer: builder.tracer,
             },
@@ -705,6 +900,7 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
             edge_refusals_synced: AtomicU64::new(0),
             fault_refusals_synced: AtomicU64::new(0),
             throttle_refusals_synced: AtomicU64::new(0),
+            sheds_synced: AtomicU64::new(0),
             sched_metrics,
             seeds_cache: HashMap::new(),
             profile_cache: HashMap::new(),
@@ -720,10 +916,15 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
             journal_suspended: BTreeSet::new(),
             pending_recruits: Vec::new(),
             journal_lanes: Vec::new(),
-        };
-        if let Some(m) = &crawler.sched_metrics {
-            m.workers.set(crawler.workers as i64);
         }
+    }
+
+    fn assemble(
+        seats: Vec<AccountSeat<E>>,
+        builder: ParallelCrawlerBuilder<E>,
+    ) -> Result<ParallelCrawler<E>, CrawlError> {
+        let label = builder.label.clone();
+        let mut crawler = Self::empty(builder, label, seats.len());
         for (i, seat) in seats.into_iter().enumerate() {
             let username = format!("{}-{i}", crawler.label);
             crawler.enroll(seat, username)?;
@@ -749,107 +950,57 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
         if state.lanes.is_empty() {
             return Err(CrawlError::BadPage("no accounts"));
         }
-        let budget = 8 + 2 * builder.max_accounts.max(seats.len());
-        let (metrics, sched_metrics) = match builder.obs {
-            Some((m, s)) => (Some(m), Some(s)),
-            None => (None, None),
-        };
-        let mut crawler = ParallelCrawler {
-            accounts: Vec::new(),
-            // The journaled label wins: recruit usernames ("{label}-rN")
-            // must keep matching the original run's.
-            label: state.label.clone(),
-            workers: builder.workers,
-            shared: Shared {
-                politeness: builder.politeness,
-                breaker: builder.breaker,
-                budget,
-                metrics,
-                tracer: builder.tracer,
-            },
-            factory: builder.factory,
-            recruited: state.sched.recruited as usize,
-            max_accounts: builder.max_accounts,
-            retry_stats: builder.retry_stats,
-            retries_synced: AtomicU64::new(0),
-            edge_refusals_synced: AtomicU64::new(0),
-            fault_refusals_synced: AtomicU64::new(0),
-            throttle_refusals_synced: AtomicU64::new(0),
-            sched_metrics,
-            seeds_cache: HashMap::new(),
-            profile_cache: HashMap::new(),
-            friends_cache: HashMap::new(),
-            circles_cache: HashMap::new(),
-            incomplete: state.incomplete.iter().copied().collect(),
-            tombstoned: state.tombstoned.iter().copied().collect(),
-            friends_gen: HashMap::new(),
-            stale_refetches: state.sched.stale_refetches,
-            rr: state.sched.rr as usize,
-            modeled_wall_ms: state.sched.modeled_wall_ms,
-            journal: builder.journal,
-            journal_suspended: BTreeSet::new(),
-            pending_recruits: Vec::new(),
-            journal_lanes: Vec::new(),
-        };
-        if let Some(m) = &crawler.sched_metrics {
-            m.workers.set(crawler.workers as i64);
-        }
-        for (&school, seeds) in &state.seeds {
-            crawler.seeds_cache.insert(school, seeds.clone());
-        }
-        for (&uid, profile) in &state.profiles {
-            crawler.profile_cache.insert(uid, profile.clone());
-        }
-        for (&uid, friends) in &state.friends {
-            crawler.friends_cache.insert(uid, friends.clone());
-        }
+        // The journaled label wins: recruit usernames ("{label}-rN") must
+        // keep matching the original run's.
+        let mut crawler = Self::empty(builder, state.label.clone(), seats.len());
+        crawler.recruited = state.sched.recruited as usize;
+        crawler.incomplete = state.incomplete.iter().copied().collect();
+        crawler.tombstoned = state.tombstoned.iter().copied().collect();
+        crawler.stale_refetches = state.sched.stale_refetches;
+        crawler.rr = state.sched.rr as usize;
+        crawler.modeled_wall_ms = state.sched.modeled_wall_ms;
+        crawler.seeds_cache.extend(state.seeds.clone());
+        crawler.profile_cache.extend(state.profiles.clone());
+        crawler.friends_cache.extend(state.friends.clone());
+        crawler.friends_gen.extend(state.friends_gen.clone());
         for entry in &state.circles {
             crawler.circles_cache.insert((entry.uid, entry.incoming), entry.members.clone());
-        }
-        for (&uid, &gen) in &state.friends_gen {
-            crawler.friends_gen.insert(uid, gen);
         }
         // Transport retry ledger: restore the shared stats handle and
         // pre-load the synced cursors so metric deltas only count
         // post-resume activity (no double-billing on restart).
         if let Some(stats) = &crawler.retry_stats {
-            stats.restore(&state.sched.retry_stats.to_stats());
-            crawler.retries_synced = AtomicU64::new(state.sched.retry_stats.retries);
-            crawler.edge_refusals_synced = AtomicU64::new(state.sched.retry_stats.edge_limited);
-            crawler.fault_refusals_synced =
-                AtomicU64::new(state.sched.retry_stats.fault_rate_limited);
-            crawler.throttle_refusals_synced = AtomicU64::new(state.sched.retry_stats.throttled);
+            let synced = &state.sched.retry_stats;
+            stats.restore(&synced.to_stats());
+            crawler.retries_synced = AtomicU64::new(synced.retries);
+            crawler.edge_refusals_synced = AtomicU64::new(synced.edge_limited);
+            crawler.fault_refusals_synced = AtomicU64::new(synced.fault_rate_limited);
+            crawler.throttle_refusals_synced = AtomicU64::new(synced.throttled);
+            crawler.sheds_synced = AtomicU64::new(synced.sheds);
         }
         for (i, (seat, lane)) in seats.into_iter().zip(&state.lanes).enumerate() {
-            let mut exchange = seat.exchange;
-            exchange.restore_transport_state(&lane.transport.to_transport());
-            let clock = seat.clock;
-            if let Some(c) = &clock {
+            let mut worker = AccountWorker::new(seat, i, lane.username.clone());
+            worker.exchange.restore_transport_state(&lane.transport.to_transport());
+            if let Some(c) = &worker.clock {
                 // A fresh seat clock starts at zero; fast-forward it to
                 // the journaled timeline. (Not `advance_ms` on the
                 // worker — that would double-charge `local_ms`.)
                 c.advance_ms(lane.clock_ms);
             }
             // Unknown endpoint names (a newer journal, say) are dropped.
-            let breakers = lane
+            worker.breakers = lane
                 .breakers
                 .iter()
                 .filter_map(|(name, b)| {
                     Some((Endpoint::from_label(name)?, Breaker::restore(b.consecutive, b.open)))
                 })
                 .collect();
-            let worker = AccountWorker {
-                exchange,
-                username: lane.username.clone(),
-                password: lane.password.clone(),
-                suspended: lane.suspended,
-                effort: lane.effort,
-                local_ms: lane.local_ms,
-                clock,
-                breakers,
-                lane: trace_lane(&lane.username),
-                trace_ordinal: lane.trace_ordinal,
-            };
+            worker.password = lane.password.clone();
+            worker.suspended = lane.suspended;
+            worker.effort = lane.effort;
+            worker.local_ms = lane.local_ms;
+            worker.trace_ordinal = lane.trace_ordinal;
+            worker.seat = lane.seat.clone();
             crawler.accounts.push(Mutex::new(worker));
             if lane.suspended {
                 crawler.journal_suspended.insert(i);
@@ -873,50 +1024,24 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
         journal.commit("base").map_err(map_journal_err)
     }
 
-    /// Sign up (tolerating "already registered") and log in one seat.
+    /// Sign up and log in one seat, adding it to the fleet.
     fn enroll(&mut self, seat: AccountSeat<E>, username: String) -> Result<(), CrawlError> {
-        let password = "hunter2";
-        let lane = trace_lane(&username);
-        let mut worker = AccountWorker {
-            exchange: seat.exchange,
-            username,
-            password: password.to_string(),
-            suspended: false,
-            effort: Effort::default(),
-            local_ms: 0,
-            clock: seat.clock,
-            breakers: HashMap::new(),
-            lane,
-            trace_ordinal: 0,
-        };
-        let trace = worker.next_trace_ctx(&self.shared);
-        let mut signup =
-            Request::post_form("/signup", &[("user", &worker.username), ("pass", password)]);
-        if let Some((_, ctx)) = &trace {
-            signup = signup.header(H_TRACE_ID, ctx.header_value());
+        if self.workers > 1 {
+            if let Some(clock) = &seat.clock {
+                let shared = self.accounts.iter().any(|a| {
+                    a.lock()
+                        .expect("account lock")
+                        .clock
+                        .as_ref()
+                        .is_some_and(|c| Arc::ptr_eq(c, clock))
+                });
+                if shared {
+                    return Err(CrawlError::BadPage("seats share a clock above one worker"));
+                }
+            }
         }
-        let begin_ms = worker.now_ms();
-        let result = worker.exchange.exchange(signup);
-        record_root_span(&trace, Endpoint::Auth, begin_ms, worker.now_ms(), result.as_ref().ok());
-        let resp = result?;
-        count_request(&mut worker.effort, self.shared.metrics.as_deref(), Endpoint::Auth);
-        if !resp.status.is_success() && resp.status != Status::BAD_REQUEST {
-            return Err(CrawlError::Denied(resp.status));
-        }
-        let trace = worker.next_trace_ctx(&self.shared);
-        let mut login =
-            Request::post_form("/login", &[("user", &worker.username), ("pass", password)]);
-        if let Some((_, ctx)) = &trace {
-            login = login.header(H_TRACE_ID, ctx.header_value());
-        }
-        let begin_ms = worker.now_ms();
-        let result = worker.exchange.exchange(login);
-        record_root_span(&trace, Endpoint::Auth, begin_ms, worker.now_ms(), result.as_ref().ok());
-        let resp = result?;
-        count_request(&mut worker.effort, self.shared.metrics.as_deref(), Endpoint::Auth);
-        if !resp.status.is_success() {
-            return Err(CrawlError::Denied(resp.status));
-        }
+        let mut worker = AccountWorker::new(seat, self.accounts.len(), username);
+        worker.enroll(&self.shared)?;
         self.accounts.push(Mutex::new(worker));
         Ok(())
     }
@@ -931,34 +1056,31 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
         self.live_indices().len()
     }
 
-    /// Worker threads this scheduler runs batches with.
-    pub fn workers(&self) -> usize {
-        self.workers
+    /// Application-level auth-POST resends issued so far, all seats.
+    /// The soak reconciles POST redeliveries on the wire against it.
+    pub fn auth_retries(&self) -> u64 {
+        self.accounts.iter().map(|a| a.lock().expect("account lock").seat.auth_retries).sum()
     }
 
-    /// Modeled virtual wall-clock of the crawl so far at `workers`
-    /// concurrent lanes (per-batch greedy makespans, accumulated).
-    pub fn modeled_wall_ms(&self) -> u64 {
-        self.modeled_wall_ms
+    /// The widest pushback multiplier any seat currently paces at (≥ 1).
+    pub fn politeness_widen_factor(&self) -> u64 {
+        self.accounts
+            .iter()
+            .map(|a| a.lock().expect("account lock").seat.widen_factor)
+            .max()
+            .unwrap_or(1)
+            .max(1)
     }
 
-    /// Users whose friend lists are partial (degraded fetches).
-    pub fn incomplete_friend_lists(&self) -> Vec<UserId> {
-        self.incomplete.iter().copied().collect()
-    }
-
-    /// Warm the caches from a checkpoint (see [`crate::Crawler::restore`]).
+    /// Warm the caches from a checkpoint: anything captured there is
+    /// never re-fetched. The crawler's own `Effort` keeps counting from
+    /// its live total — the snapshot's `effort` is what the earlier
+    /// crawl paid, so the total cost is `snap.effort + effort()`.
     pub fn restore(&mut self, snap: &CrawlSnapshot) {
-        for (&school, seeds) in &snap.seeds {
-            self.seeds_cache.insert(school, seeds.clone());
-        }
-        for (&uid, profile) in &snap.profiles {
-            self.profile_cache.insert(uid, profile.clone());
-        }
-        for (&uid, friends) in &snap.friends {
-            self.friends_cache.insert(uid, friends.clone());
-            self.incomplete.remove(&uid);
-        }
+        self.seeds_cache.extend(snap.seeds.clone());
+        self.profile_cache.extend(snap.profiles.clone());
+        self.friends_cache.extend(snap.friends.clone());
+        self.incomplete.retain(|uid| !snap.friends.contains_key(uid));
     }
 
     /// Snapshot every lane's full machine state (transport, clocks,
@@ -987,6 +1109,7 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
                     transport: TransportJournalState::from_transport(
                         &worker.exchange.transport_state(),
                     ),
+                    seat: worker.seat.clone(),
                 }
             })
             .collect()
@@ -1010,15 +1133,9 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
     /// identical crawler by [`ParallelCrawlerBuilder::build_resumed`].
     pub fn resume_state(&self) -> ResumeState {
         let mut state = ResumeState { label: self.label.clone(), ..ResumeState::default() };
-        for (&school, seeds) in &self.seeds_cache {
-            state.seeds.insert(school, seeds.clone());
-        }
-        for (&uid, profile) in &self.profile_cache {
-            state.profiles.insert(uid, profile.clone());
-        }
-        for (&uid, friends) in &self.friends_cache {
-            state.friends.insert(uid, friends.clone());
-        }
+        state.seeds.extend(self.seeds_cache.clone());
+        state.profiles.extend(self.profile_cache.clone());
+        state.friends.extend(self.friends_cache.clone());
         let mut circles: Vec<CirclesEntry> = self
             .circles_cache
             .iter()
@@ -1032,9 +1149,7 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
         state.circles = circles;
         state.incomplete = self.incomplete.iter().copied().collect();
         state.tombstoned = self.tombstoned.iter().copied().collect();
-        for (&uid, &gen) in &self.friends_gen {
-            state.friends_gen.insert(uid, gen);
-        }
+        state.friends_gen.extend(self.friends_gen.clone());
         state.lanes = self.lane_states();
         state.sched = self.sched_state();
         state
@@ -1121,11 +1236,6 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
         self.journal.as_mut().expect("journal present").compact(&state).map_err(map_journal_err)
     }
 
-    /// The attached journal, if any (tests, overhead accounting).
-    pub fn journal(&self) -> Option<&Journal> {
-        self.journal.as_ref()
-    }
-
     /// Mutable journal access — e.g. to force a deferred group fsync
     /// ([`Journal::sync`]) before reading [`Journal::time_spent`].
     pub fn journal_mut(&mut self) -> Option<&mut Journal> {
@@ -1143,27 +1253,32 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
 
     /// Fold transport retries accumulated since the last sync into
     /// `crawler_fetch_total{endpoint="retry"}`, and the refusal ledger
-    /// into `crawler_refusals_total{source=edge|fault|throttle}`.
+    /// into `crawler_refusals_total{source=edge|fault|throttle|shed}`.
     fn sync_retry_metric(&self) {
-        let Some(stats) = &self.retry_stats else { return };
-        let now = stats.retries();
-        let prev = self.retries_synced.swap(now, Ordering::SeqCst);
-        let delta = now.saturating_sub(prev);
-        if delta > 0 {
-            if let Some(m) = &self.shared.metrics {
-                m.fetch_retry.add(delta);
+        let (Some(stats), Some(m)) = (&self.retry_stats, &self.shared.metrics) else { return };
+        let delta =
+            |now: u64, synced: &AtomicU64| now.saturating_sub(synced.swap(now, Ordering::SeqCst));
+        m.fetch_retry.add(delta(stats.retries(), &self.retries_synced));
+        m.refusal("edge", delta(stats.edge_limited(), &self.edge_refusals_synced));
+        m.refusal("fault", delta(stats.fault_rate_limited(), &self.fault_refusals_synced));
+        m.refusal("throttle", delta(stats.throttled(), &self.throttle_refusals_synced));
+        m.refusal("shed", delta(stats.sheds(), &self.sheds_synced));
+    }
+
+    /// Sheds absorbed by the transport so far (0 without shared stats).
+    fn sheds(&self) -> u64 {
+        self.retry_stats.as_ref().map_or(0, |s| s.sheds())
+    }
+
+    /// Fold shed pressure into pacing: when the transport absorbed sheds
+    /// since `before`, every seat in `seats` widens one step. Read on
+    /// the scheduler thread after a join, never from a worker, so the
+    /// widening does not depend on thread interleaving.
+    fn fold_sheds(&self, seats: &[usize], before: u64) {
+        if self.sheds() > before {
+            for &a in seats {
+                self.accounts[a].lock().expect("account lock").widen_pacing(&self.shared);
             }
-        }
-        if let Some(m) = &self.shared.metrics {
-            let edge = stats.edge_limited();
-            let prev = self.edge_refusals_synced.swap(edge, Ordering::SeqCst);
-            m.refusal("edge", edge.saturating_sub(prev));
-            let fault = stats.fault_rate_limited();
-            let prev = self.fault_refusals_synced.swap(fault, Ordering::SeqCst);
-            m.refusal("fault", fault.saturating_sub(prev));
-            let throttle = stats.throttled();
-            let prev = self.throttle_refusals_synced.swap(throttle, Ordering::SeqCst);
-            m.refusal("throttle", throttle.saturating_sub(prev));
         }
     }
 
@@ -1205,6 +1320,7 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
             return Ok((Vec::new(), Vec::new()));
         }
         let started = Instant::now();
+        let sheds_before = self.sheds();
         let threads = self.workers.clamp(1, lanes);
         let accounts = &self.accounts;
         let shared = &self.shared;
@@ -1233,7 +1349,8 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
                 }
             }
             out.virtual_ms = worker.now_ms() - t0;
-            out.requests = effort_requests(&worker.effort) - effort_requests(&e0);
+            let spent = worker.effort.since(&e0);
+            out.requests = spent.total() + spent.auth_requests + spent.message_requests;
             out
         };
         let outs: Vec<QueueOut> = if threads == 1 {
@@ -1260,22 +1377,24 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
                 .map(|s| s.into_inner().expect("slot lock").expect("queue ran"))
                 .collect()
         };
-        // Deterministic merge, in queue order.
+        // Deterministic merge, in queue order; the first fatal error in
+        // queue order fails the batch, after its cost is accounted.
         let mut done = Vec::new();
         let mut leftover = Vec::new();
+        let mut fatal = None;
         let mut durations = Vec::with_capacity(lanes);
         let mut requests = 0u64;
         for out in outs {
             durations.push(out.virtual_ms);
             requests += out.requests;
-            if let Some(e) = out.fatal {
-                return Err(e);
-            }
+            fatal = fatal.or(out.fatal);
             done.extend(out.done);
             leftover.extend(out.leftover);
         }
         let batch_makespan = makespan(&durations, self.workers);
         self.modeled_wall_ms += batch_makespan;
+        let seats: Vec<usize> = queues.iter().map(|&(a, _)| a).collect();
+        self.fold_sheds(&seats, sheds_before);
         self.sync_retry_metric();
         if let Some(m) = &self.sched_metrics {
             let elapsed = started.elapsed();
@@ -1288,7 +1407,10 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
                 m.virtual_pages_per_sec.set(rate as i64);
             }
         }
-        Ok((done, leftover))
+        match fatal {
+            Some(e) => Err(e),
+            None => Ok((done, leftover)),
+        }
     }
 
     /// Shard `jobs` over the live accounts (item `i` → live account
@@ -1315,8 +1437,8 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
             let (batch_done, leftover) = self.run_queues(queues)?;
             done.extend(batch_done);
             if !leftover.is_empty() {
-                // An account died mid-batch: escalate the fleet like
-                // the sequential crawler before redistributing.
+                // An account died mid-batch: escalate the fleet before
+                // redistributing.
                 self.recruit()?;
             }
             pending = leftover;
@@ -1333,6 +1455,25 @@ impl<E: Exchange + Send> ParallelCrawler<E> {
             }
         }
         self.profile_cache.insert(uid, profile);
+    }
+
+    /// Fetch `uids`' profile pages as one sharded batch, returned in
+    /// canonical (UserId-sorted) commit order whichever account or
+    /// thread fetched what.
+    fn fetch_profiles(
+        &mut self,
+        uids: Vec<UserId>,
+    ) -> Result<Vec<(UserId, ScrapedProfile)>, CrawlError> {
+        let done = self.run_sharded(uids.into_iter().map(Job::Profile).collect())?;
+        let mut results: Vec<_> = done
+            .into_iter()
+            .map(|(job, out)| match (job, out) {
+                (Job::Profile(uid), JobOut::Profile(p)) => (uid, p),
+                _ => unreachable!("profile batch produced non-profile output"),
+            })
+            .collect();
+        results.sort_by_key(|&(uid, _)| uid);
+        Ok(results)
     }
 
     fn total_effort(&self) -> Effort {
@@ -1364,8 +1505,7 @@ impl<E: Exchange + Send> OsnAccess for ParallelCrawler<E> {
             return Ok(seeds.clone());
         }
         // One seed sweep per live account, concurrently: each account
-        // pages its own search sample, exactly like the sequential
-        // crawl — the per-account page sequences are identical.
+        // pages its own search sample.
         let queues: Vec<(usize, Vec<Job>)> =
             self.live_indices().into_iter().map(|a| (a, vec![Job::Seeds(school)])).collect();
         let (done, leftover) = self.run_queues(queues)?;
@@ -1400,20 +1540,9 @@ impl<E: Exchange + Send> OsnAccess for ParallelCrawler<E> {
         if let Some(m) = &self.shared.metrics {
             m.cache_profile_misses.add(todo.len() as u64);
         }
-        let done = self.run_sharded(todo.into_iter().map(Job::Profile).collect())?;
-        // Canonical commit order: UserId-sorted, regardless of which
-        // account/thread fetched what.
-        let mut results: Vec<(UserId, ScrapedProfile)> = done
-            .into_iter()
-            .map(|(job, out)| match (job, out) {
-                (Job::Profile(uid), JobOut::Profile(p)) => (uid, p),
-                _ => unreachable!("profile batch produced non-profile output"),
-            })
-            .collect();
-        results.sort_by_key(|&(uid, _)| uid);
         let journaling = self.journal.is_some();
         let mut events = Vec::new();
-        for (uid, profile) in results {
+        for (uid, profile) in self.fetch_profiles(todo)? {
             if journaling {
                 events.push(JournalRecord::ProfileCommitted { uid, profile: profile.clone() });
             }
@@ -1484,16 +1613,7 @@ impl<E: Exchange + Send> OsnAccess for ParallelCrawler<E> {
             if let Some(m) = &self.shared.metrics {
                 m.stale_refetches.add(conflicted.len() as u64);
             }
-            let done = self.run_sharded(conflicted.into_iter().map(Job::Profile).collect())?;
-            let mut refreshed: Vec<(UserId, ScrapedProfile)> = done
-                .into_iter()
-                .map(|(job, out)| match (job, out) {
-                    (Job::Profile(uid), JobOut::Profile(p)) => (uid, p),
-                    _ => unreachable!("reconcile batch produced non-profile output"),
-                })
-                .collect();
-            refreshed.sort_by_key(|&(uid, _)| uid);
-            for (uid, profile) in refreshed {
+            for (uid, profile) in self.fetch_profiles(conflicted)? {
                 if journaling {
                     events.push(JournalRecord::ProfileCommitted { uid, profile: profile.clone() });
                 }
@@ -1574,39 +1694,14 @@ impl<E: Exchange + Send> OsnAccess for ParallelCrawler<E> {
             return Err(CrawlError::Denied(Status::TOO_MANY_REQUESTS));
         };
         self.rr += 1;
+        let sheds_before = self.sheds();
         let mut worker = self.accounts[account].lock().expect("account lock");
         let t0 = worker.now_ms();
-        worker.advance_politeness(&self.shared);
-        let trace = worker.next_trace_ctx(&self.shared);
-        let begin_ms = worker.now_ms();
-        let mut req = Request::post_form(format!("/message/{uid}"), &[("body", body)])
-            .header(H_VIRTUAL_NOW, begin_ms.to_string());
-        if let Some((_, ctx)) = &trace {
-            req = req.header(H_TRACE_ID, ctx.header_value());
-        }
-        let result = worker.exchange.exchange(req);
-        record_root_span(
-            &trace,
-            Endpoint::Message,
-            begin_ms,
-            worker.now_ms(),
-            result.as_ref().ok(),
-        );
-        let resp = result?;
-        count_request(&mut worker.effort, self.shared.metrics.as_deref(), Endpoint::Message);
-        worker.absorb_captcha(&resp, &self.shared);
-        let outcome = match resp.status {
-            s if s.is_success() => Ok(true),
-            Status::FORBIDDEN => Ok(false),
-            Status::TOO_MANY_REQUESTS if resp.headers.contains(H_ACCOUNT_SUSPENDED) => {
-                worker.mark_suspended(&self.shared);
-                Err(CrawlError::Denied(Status::TOO_MANY_REQUESTS))
-            }
-            s => Err(CrawlError::Denied(s)),
-        };
+        let outcome = worker.send_message(uid, body, &self.shared);
         let elapsed = worker.now_ms() - t0;
         drop(worker);
         self.modeled_wall_ms += elapsed;
+        self.fold_sheds(&[account], sheds_before);
         self.sync_retry_metric();
         if matches!(outcome, Err(CrawlError::Denied(Status::TOO_MANY_REQUESTS))) {
             self.recruit()?;
@@ -1623,7 +1718,7 @@ impl<E: Exchange + Send> OsnAccess for ParallelCrawler<E> {
     }
 
     fn incomplete_friends(&self) -> Vec<UserId> {
-        self.incomplete_friend_lists()
+        self.incomplete.iter().copied().collect()
     }
 
     fn tombstoned_users(&self) -> Vec<UserId> {
@@ -1631,22 +1726,17 @@ impl<E: Exchange + Send> OsnAccess for ParallelCrawler<E> {
     }
 
     fn checkpoint(&self) -> CrawlSnapshot {
-        let mut snap = CrawlSnapshot::default();
-        for (&school, seeds) in &self.seeds_cache {
-            snap.seeds.insert(school, seeds.clone());
-        }
-        for (&uid, profile) in &self.profile_cache {
-            snap.profiles.insert(uid, profile.clone());
-        }
-        for (&uid, friends) in &self.friends_cache {
-            if !self.incomplete.contains(&uid) {
-                snap.friends.insert(uid, friends.clone());
-            }
-        }
-        snap.effort = self.effort();
+        let mut snap = CrawlSnapshot { effort: self.effort(), ..CrawlSnapshot::default() };
+        snap.seeds.extend(self.seeds_cache.clone());
+        snap.profiles.extend(self.profile_cache.clone());
+        // Partial lists are left out, so a resumed crawl re-fetches them.
+        let complete = self.friends_cache.iter().filter(|(uid, _)| !self.incomplete.contains(uid));
+        snap.friends.extend(complete.map(|(&uid, friends)| (uid, friends.clone())));
         snap
     }
 
+    /// Modeled virtual wall-clock of the crawl so far at `workers`
+    /// concurrent lanes (per-batch greedy makespans, accumulated).
     fn virtual_elapsed_ms(&self) -> u64 {
         self.modeled_wall_ms
     }
@@ -1655,17 +1745,21 @@ impl<E: Exchange + Send> OsnAccess for ParallelCrawler<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hsp_http::DirectExchange;
-    use hsp_platform::{FaultPlan, Platform, PlatformConfig};
+    use hsp_http::{DirectExchange, ResilientExchange, RetryPolicy};
+    use hsp_platform::{DefenseConfig, DetectorStrength, FaultPlan, Platform, PlatformConfig};
     use hsp_policy::FacebookPolicy;
     use hsp_synth::{generate, ScenarioConfig};
 
     fn tiny_platform(faults: FaultPlan) -> (Arc<Platform>, hsp_synth::Scenario) {
+        tiny_configured(PlatformConfig { faults, ..PlatformConfig::default() })
+    }
+
+    fn tiny_configured(config: PlatformConfig) -> (Arc<Platform>, hsp_synth::Scenario) {
         let scenario = generate(&ScenarioConfig::tiny());
         let platform = Platform::new(
             Arc::new(scenario.network.clone()),
             Arc::new(FacebookPolicy::new()),
-            PlatformConfig { faults, ..PlatformConfig::default() },
+            config,
         );
         (platform, scenario)
     }
@@ -1694,6 +1788,44 @@ mod tests {
             .expect("enrolled")
     }
 
+    /// An in-process exchange whose first `failures` requests to a path
+    /// starting with `prefix` die in the transport.
+    struct Flaky {
+        inner: DirectExchange,
+        prefix: &'static str,
+        failures: u32,
+    }
+
+    impl Exchange for Flaky {
+        fn exchange(&mut self, req: Request) -> hsp_http::Result<Response> {
+            if self.failures > 0 && req.target.starts_with(self.prefix) {
+                self.failures -= 1;
+                return Err(HttpError::UnexpectedEof);
+            }
+            self.inner.exchange(req)
+        }
+
+        fn clear_session(&mut self) {
+            self.inner.clear_session();
+        }
+    }
+
+    fn flaky(
+        platform: &Arc<Platform>,
+        prefix: &'static str,
+        failures: u32,
+    ) -> ParallelCrawler<Flaky> {
+        let seat = AccountSeat {
+            exchange: Flaky {
+                inner: DirectExchange::new(platform.into_handler()),
+                prefix,
+                failures,
+            },
+            clock: None,
+        };
+        ParallelCrawler::builder("flaky").observability(&platform.obs).build(vec![seat]).unwrap()
+    }
+
     /// The core determinism claim, in miniature: sharded prefetches at
     /// 1 and 4 workers produce identical caches, effort, and virtual
     /// wall-clock model inputs.
@@ -1716,25 +1848,184 @@ mod tests {
     }
 
     #[test]
-    fn matches_sequential_crawler_bit_for_bit() {
+    fn seeds_contain_no_registered_minors_and_effort_is_counted() {
         let (platform, s) = tiny_platform(FaultPlan::default());
-        let handler = platform.into_handler();
-        let exchanges = (0..2).map(|_| DirectExchange::new(handler.clone())).collect();
-        let mut sequential = crate::Crawler::new(exchanges, "spy").unwrap();
-
-        let (platform_p, _) = tiny_platform(FaultPlan::default());
-        let mut par = parallel(&platform_p, 2, 4);
-
-        let seeds_seq = sequential.collect_seeds(s.school).unwrap();
-        let seeds_par = par.collect_seeds(s.school).unwrap();
-        assert_eq!(seeds_seq, seeds_par);
-
-        par.prefetch_profiles(&seeds_par).unwrap();
-        for &u in &seeds_seq {
-            assert_eq!(sequential.profile(u).unwrap(), par.profile(u).unwrap());
-            assert_eq!(sequential.friends(u).unwrap(), par.friends(u).unwrap());
+        let mut crawler = parallel(&platform, 2, 1);
+        let seeds = crawler.collect_seeds(s.school).unwrap();
+        assert!(!seeds.is_empty());
+        for &u in &seeds {
+            assert!(!s.network.user(u).is_registered_minor(s.network.today));
         }
-        assert_eq!(sequential.effort(), par.effort(), "same pages, same cost");
+        let effort = crawler.effort();
+        assert!(effort.seed_requests >= 2, "at least one page per account");
+        assert_eq!(effort.auth_requests, 4); // signup+login × 2 accounts
+        assert_eq!(effort.profile_requests, 0);
+    }
+
+    #[test]
+    fn profiles_and_hidden_friend_lists_are_cached() {
+        let (platform, s) = tiny_platform(FaultPlan::default());
+        let mut crawler = parallel(&platform, 1, 1);
+        let u = s.roster()[0];
+        let p1 = crawler.profile(u).unwrap();
+        let p2 = crawler.profile(u).unwrap();
+        assert_eq!(p1, p2);
+        assert_eq!(crawler.effort().profile_requests, 1, "second hit was cached");
+        let minor = s.registered_minor_students()[0];
+        assert!(crawler.friends(minor).unwrap().is_none());
+        assert!(crawler.friends(minor).unwrap().is_none());
+        assert_eq!(crawler.effort().friend_list_requests, 1, "hidden lists are cached too");
+    }
+
+    #[test]
+    fn friends_pagination_reassembles_full_list() {
+        let (platform, s) = tiny_platform(FaultPlan::default());
+        let mut crawler = parallel(&platform, 2, 1);
+        // An open adult with > 25 friends forces paging.
+        let open = s
+            .network
+            .user_ids()
+            .find(|&u| {
+                !s.network.user(u).is_registered_minor(s.network.today)
+                    && s.network.user(u).privacy.friend_list == hsp_graph::Audience::Public
+                    && s.network.friends(u).len() > 25
+            })
+            .expect("an open well-connected user");
+        let mut got = crawler.friends(open).unwrap().unwrap();
+        let mut expected = s.network.friends(open).to_vec();
+        got.sort_unstable();
+        expected.sort_unstable();
+        assert_eq!(got, expected);
+        assert!(crawler.effort().friend_list_requests >= 2);
+        assert!(crawler.incomplete_friends().is_empty());
+    }
+
+    /// Fetches, cache hits and the politeness clock land in the shared
+    /// registry; each fetch advances the modeled virtual clock.
+    #[test]
+    fn observability_counts_fetches_caches_and_politeness() {
+        let (platform, s) = tiny_platform(FaultPlan::default());
+        let mut crawler = parallel(&platform, 2, 1);
+        let u = s.roster()[0];
+        let _ = crawler.profile(u).unwrap();
+        let after_one = crawler.virtual_elapsed_ms();
+        assert!(after_one > 0, "politeness advanced the virtual clock");
+        let _ = crawler.profile(u).unwrap(); // cache hit
+        let _ = crawler.friends(u);
+
+        let snap = platform.obs.snapshot();
+        assert_eq!(snap.counter("crawler_fetch_total{endpoint=\"auth\"}"), 4);
+        assert_eq!(snap.counter("crawler_fetch_total{endpoint=\"profile\"}"), 1);
+        assert_eq!(snap.counter("crawler_cache_total{cache=\"profile\",result=\"hit\"}"), 1);
+        assert_eq!(snap.counter("crawler_cache_total{cache=\"profile\",result=\"miss\"}"), 1);
+        let virt = snap.counter("crawler_politeness_virtual_ms");
+        assert_eq!(virt, crawler.virtual_elapsed_ms());
+        assert!(virt >= 2 * Politeness::default().sleep_ms_between_requests);
+        // Both sides of the experiment share one registry: the platform's
+        // route counters moved too.
+        assert!(snap.counter("http_route_requests_total{route=\"/profile/:uid\"}") >= 1);
+    }
+
+    #[test]
+    fn shed_pressure_widens_pacing_and_calm_narrows_it() {
+        let (platform, _s) = tiny_platform(FaultPlan::default());
+        let stats = Arc::new(RetryStats::default());
+        let seat =
+            AccountSeat { exchange: DirectExchange::new(platform.into_handler()), clock: None };
+        let crawler = ParallelCrawler::builder("spy")
+            .observability(&platform.obs)
+            .retry_stats(Arc::clone(&stats))
+            .build(vec![seat])
+            .unwrap();
+        let politeness = Politeness::default();
+        let base = politeness.sleep_ms_between_requests;
+        assert_eq!(crawler.politeness_widen_factor(), 1);
+        let mut worker = crawler.accounts[0].lock().unwrap();
+
+        // Pushback doubles the spacing up to the configured cap.
+        worker.widen_pacing(&crawler.shared);
+        let before = worker.now_ms();
+        worker.advance_politeness(&crawler.shared);
+        assert_eq!(worker.now_ms() - before, 2 * base);
+        for _ in 0..10 {
+            worker.widen_pacing(&crawler.shared);
+        }
+        assert_eq!(worker.seat.widen_factor, politeness.max_widen_factor, "saturates at the cap");
+
+        // A calm streak narrows one step at a time; pressure resets it.
+        for _ in 0..politeness.narrow_after_successes - 1 {
+            worker.note_fetch_success(&crawler.shared);
+        }
+        worker.widen_pacing(&crawler.shared); // resets the streak at the cap
+        for _ in 0..politeness.narrow_after_successes {
+            worker.note_fetch_success(&crawler.shared);
+        }
+        assert_eq!(worker.seat.widen_factor, politeness.max_widen_factor / 2);
+        drop(worker);
+
+        // Sheds absorbed inside the retry layer widen every seat of the
+        // batch once the scheduler reads the shared stats, and land in
+        // the shed refusal ledger.
+        crawler.fold_sheds(&[0], crawler.sheds());
+        assert_eq!(crawler.politeness_widen_factor(), politeness.max_widen_factor / 2);
+        let before = crawler.sheds();
+        stats.sheds.fetch_add(1, Ordering::Relaxed);
+        crawler.fold_sheds(&[0], before);
+        crawler.sync_retry_metric();
+        assert_eq!(crawler.politeness_widen_factor(), politeness.max_widen_factor);
+        assert_eq!(platform.obs.snapshot().counter("crawler_refusals_total{source=\"shed\"}"), 1);
+    }
+
+    #[test]
+    fn more_accounts_more_seeds() {
+        // With a big enough pool, extra accounts surface extra seeds.
+        let (platform, s) = tiny_configured(PlatformConfig {
+            search_cap_per_account: 20,
+            ..PlatformConfig::default()
+        });
+        let one = parallel(&platform, 1, 1).collect_seeds(s.school).unwrap();
+        let four = parallel(&platform, 4, 1).collect_seeds(s.school).unwrap();
+        assert!(four.len() > one.len(), "{} vs {}", four.len(), one.len());
+    }
+
+    #[test]
+    fn checkpoint_resume_skips_fetched_pages() {
+        let (platform, s) = tiny_platform(FaultPlan::default());
+
+        // First crawl: seeds + a few profiles, then "the process dies".
+        let mut first = parallel(&platform, 2, 1);
+        let seeds = first.collect_seeds(s.school).unwrap();
+        for &u in seeds.iter().take(5) {
+            first.profile(u).unwrap();
+            first.friends(u).unwrap();
+        }
+        let checkpoint = first.checkpoint();
+        assert_eq!(checkpoint.profiles.len(), 5);
+        assert!(checkpoint.effort.total() > 0);
+
+        // Round-trip through JSON, like an on-disk checkpoint file.
+        let checkpoint = CrawlSnapshot::from_json(&checkpoint.to_json().unwrap()).unwrap();
+
+        // Resumed crawl: restore, then redo the same work.
+        let mut resumed = parallel(&platform, 2, 1);
+        resumed.restore(&checkpoint);
+        let auth_only = resumed.effort();
+        let seeds2 = resumed.collect_seeds(s.school).unwrap();
+        assert_eq!(seeds2, seeds, "seeds come from the checkpoint");
+        for &u in seeds.iter().take(5) {
+            resumed.profile(u).unwrap();
+            resumed.friends(u).unwrap();
+        }
+        let effort = resumed.effort();
+        assert_eq!(effort.seed_requests, auth_only.seed_requests, "no seed re-fetch");
+        assert_eq!(effort.profile_requests, 0, "no profile re-fetch");
+        assert_eq!(effort.friend_list_requests, 0, "no friend-list re-fetch");
+
+        // New work is still fetched (and paid for).
+        if let Some(&fresh) = seeds.get(5) {
+            resumed.profile(fresh).unwrap();
+            assert_eq!(resumed.effort().profile_requests, 1);
+        }
     }
 
     #[test]
@@ -1751,6 +2042,10 @@ mod tests {
             let seeds = crawler.collect_seeds(s.school).unwrap();
             crawler.prefetch_profiles(&seeds).unwrap();
             crawler.prefetch_friends(&seeds).unwrap();
+            assert_eq!(platform.accounts.suspended_count(), 1, "account 0 was suspended");
+            let snap = platform.obs.snapshot();
+            assert_eq!(snap.counter("crawler_account_suspensions_total"), 1);
+            assert!(snap.counter("crawler_accounts_recruited_total") >= 1);
             (
                 crawler.checkpoint().to_json().unwrap(),
                 crawler.account_count(),
@@ -1772,7 +2067,7 @@ mod tests {
             let mut crawler = parallel(&platform, 4, workers);
             let seeds = crawler.collect_seeds(s.school).unwrap();
             crawler.prefetch_profiles(&seeds).unwrap();
-            crawler.modeled_wall_ms()
+            crawler.virtual_elapsed_ms()
         };
         let serial = run(1);
         let parallel_wall = run(4);
@@ -1781,5 +2076,108 @@ mod tests {
             parallel_wall * 2 < serial,
             "4 accounts on 4 lanes must model at least 2x faster: {parallel_wall} vs {serial}"
         );
+    }
+
+    /// A message whose transport fails is still an issued request: it is
+    /// billed before the error returns.
+    #[test]
+    fn message_lost_in_transport_is_still_billed() {
+        let (platform, s) = tiny_platform(FaultPlan::default());
+        let mut crawler = flaky(&platform, "/message/", 1);
+        assert!(crawler.send_message(s.roster()[0], "hi").is_err());
+        assert_eq!(crawler.effort().message_requests, 1);
+        let snap = platform.obs.snapshot();
+        assert_eq!(snap.counter("crawler_fetch_total{endpoint=\"message\"}"), 1);
+    }
+
+    /// A signup lost in transport is resent at the application level:
+    /// both attempts are billed and the resend is an auth retry.
+    #[test]
+    fn lost_signup_is_resent_and_billed() {
+        let (platform, _s) = tiny_platform(FaultPlan::default());
+        let crawler = flaky(&platform, "/signup", 1);
+        assert_eq!(crawler.auth_retries(), 1);
+        assert_eq!(crawler.effort().auth_requests, 3, "two signup attempts and a login");
+        let snap = platform.obs.snapshot();
+        assert_eq!(snap.counter("crawler_auth_retries_total"), 1);
+    }
+
+    /// A GET whose transport failure outlived the retry layer is retried
+    /// by the fetch loop instead of failing the crawl.
+    #[test]
+    fn transport_failure_is_retried_not_fatal() {
+        let (platform, s) = tiny_platform(FaultPlan::default());
+        let mut crawler = flaky(&platform, "/profile/", 2);
+        let u = s.roster()[0];
+        assert_eq!(crawler.profile(u).unwrap().uid, Some(u));
+        assert_eq!(crawler.effort().profile_requests, 3, "two lost attempts and the page");
+    }
+
+    /// Seats may share a clock only at one worker.
+    #[test]
+    fn shared_clock_is_refused_above_one_worker() {
+        let (platform, _s) = tiny_platform(FaultPlan::default());
+        let build = |workers: usize| {
+            let handler = platform.into_handler();
+            let clock = VirtualClock::shared();
+            let seats = (0..2)
+                .map(|_| AccountSeat {
+                    exchange: DirectExchange::new(handler.clone()),
+                    clock: Some(Arc::clone(&clock)),
+                })
+                .collect();
+            ParallelCrawler::builder("clock").workers(workers).build(seats).map(|_| ())
+        };
+        assert!(build(1).is_ok());
+        assert!(build(2).is_err());
+    }
+
+    /// The adaptive strategy is per-seat state (jitter lane, warm-up,
+    /// decoy pool), so against a Medium detector with per-seat clocks an
+    /// adaptive crawl costs the same, issues the same decoys and
+    /// checkpoints the same at 1 and 4 workers.
+    #[test]
+    fn adaptive_crawl_is_identical_across_worker_counts() {
+        let run = |workers: usize| {
+            let (platform, s) = tiny_configured(PlatformConfig {
+                defense: DefenseConfig {
+                    strength: DetectorStrength::Medium,
+                    ..DefenseConfig::default()
+                },
+                ..PlatformConfig::default()
+            });
+            let handler = platform.into_handler();
+            let stats = Arc::new(RetryStats::default());
+            let seats = (0..3u64)
+                .map(|i| {
+                    let clock = VirtualClock::shared();
+                    AccountSeat {
+                        exchange: ResilientExchange::with_stats(
+                            DirectExchange::new(handler.clone()),
+                            RetryPolicy::seeded(7 ^ i),
+                            Arc::clone(&clock),
+                            Arc::clone(&stats),
+                        ),
+                        clock: Some(clock),
+                    }
+                })
+                .collect();
+            let mut crawler = ParallelCrawler::builder("adapt")
+                .workers(workers)
+                .observability(&platform.obs)
+                .retry_stats(stats)
+                .adaptive(AdaptiveStrategy::seeded(7))
+                .build(seats)
+                .unwrap();
+            let seeds = crawler.collect_seeds(s.school).unwrap();
+            crawler.prefetch_profiles(&seeds).unwrap();
+            crawler.prefetch_friends(&seeds).unwrap();
+            let decoys = platform.obs.snapshot().counter("crawler_adapt_decoys_total");
+            (crawler.effort(), decoys, crawler.checkpoint().to_json().unwrap())
+        };
+        let one = run(1);
+        assert!(one.0.decoy_requests > 0, "the adaptive crawl issued decoys");
+        assert_eq!(one.0.decoy_requests, one.1);
+        assert_eq!(run(4), one);
     }
 }

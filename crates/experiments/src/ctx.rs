@@ -17,10 +17,11 @@ pub struct SchoolRun {
 pub struct Ctx {
     /// Run the crawl over real loopback TCP instead of in-process.
     pub tcp: bool,
-    /// Worker threads for the crawl. 1 = the classic sequential
-    /// crawler; above that the in-process crawl runs on the parallel
-    /// scheduler (results are bit-identical either way across worker
-    /// counts — see `hsp_crawler::scheduler`).
+    /// Worker threads for the crawl. 1 = the plain fleet
+    /// (`Lab::crawler`, or `Lab::tcp_crawler` over TCP); above that the
+    /// in-process crawl runs `Lab::parallel_crawler` with that many
+    /// workers (results are bit-identical across worker counts — see
+    /// `hsp_crawler::scheduler`).
     pub workers: usize,
     /// One registry spanning every cached school run, so a metrics
     /// snapshot after an experiment covers all work it triggered.

@@ -10,7 +10,7 @@ use hsp_core::{
     EvalPoint, GroundTruth,
 };
 use hsp_crawler::{
-    AccountSeat, AdaptiveStrategy, Crawler, CrawlerBuilder, OsnAccess, ParallelCrawler, Politeness,
+    AccountSeat, AdaptiveStrategy, OsnAccess, ParallelCrawler, ParallelCrawlerBuilder, Politeness,
 };
 use hsp_http::{
     ChaosPlan, ChaosStats, ChaosTransport, Client, DirectExchange, Exchange, Handler,
@@ -26,6 +26,18 @@ use std::sync::Arc;
 /// `experiment_phase_us{phase="<name>"}`.
 pub fn phase_span(reg: &Registry, phase: &str) -> SpanGuard {
     SpanGuard::new(reg.histogram_with("experiment_phase_us", &[("phase", phase)]))
+}
+
+/// How a fleet's seats keep virtual time.
+#[derive(Clone, Copy)]
+enum Timeline {
+    /// Every seat shares the platform's clock, so the sybil detector,
+    /// the rate windows and the fleet read one timeline. The fleet runs
+    /// at one worker.
+    Platform,
+    /// Each seat keeps its own clock; results are identical at any
+    /// worker count.
+    PerSeat { workers: usize },
 }
 
 /// A generated world mounted on a platform, ready to be attacked.
@@ -159,16 +171,7 @@ impl Lab {
     /// Start a real loopback HTTP server for this lab (TCP mode),
     /// wired into the lab's registry.
     pub fn serve(&mut self) -> std::io::Result<std::net::SocketAddr> {
-        let _span = phase_span(&self.obs, "serve");
-        let config = ServerConfig {
-            metrics: Some(Arc::clone(&self.obs)),
-            thread_name_prefix: "hsp-lab".to_string(),
-            ..ServerConfig::default()
-        };
-        let server = Server::start_with(self.handler.clone(), config)?;
-        let addr = server.addr();
-        self.server = Some(server);
-        Ok(addr)
+        self.serve_hardened(ServerConfig::default())
     }
 
     /// Like [`Lab::serve`] but with a caller-supplied (typically
@@ -207,12 +210,28 @@ impl Lab {
 
     /// An in-process crawler with `accounts` fake accounts.
     pub fn crawler(&self, accounts: usize, label: &str) -> Box<dyn OsnAccess> {
-        let exchanges: Vec<DirectExchange> =
-            (0..accounts).map(|_| DirectExchange::new(self.handler.clone())).collect();
-        Box::new(
-            Crawler::with_observability(exchanges, label, Politeness::default(), &self.obs)
-                .expect("crawler setup"),
-        )
+        let exchanges = (0..accounts).map(|_| DirectExchange::new(self.handler.clone()));
+        Box::new(self.plain_fleet(label, exchanges))
+    }
+
+    /// A crawler over real loopback TCP (requires [`Lab::serve`]).
+    pub fn tcp_crawler(&self, accounts: usize, label: &str) -> Box<dyn OsnAccess> {
+        let addr = self.server.as_ref().expect("call serve() before tcp_crawler()").addr();
+        Box::new(self.plain_fleet(label, (0..accounts).map(|_| Client::new(addr))))
+    }
+
+    /// A plain fleet: one seat per exchange on its own timeline, no
+    /// retry layer, no recruitment.
+    fn plain_fleet<E: Exchange + Send>(
+        &self,
+        label: &str,
+        exchanges: impl Iterator<Item = E>,
+    ) -> ParallelCrawler<E> {
+        let seats = exchanges.map(|exchange| AccountSeat { exchange, clock: None }).collect();
+        ParallelCrawler::builder(label)
+            .observability(&self.obs)
+            .build(seats)
+            .expect("crawler setup")
     }
 
     /// An in-process crawler hardened for a chaotic platform: every
@@ -222,7 +241,8 @@ impl Lab {
     /// crawler recruits replacement accounts on suspension (the paper's
     /// 2→4→8 escalation). Fully deterministic for a fixed `seed`.
     pub fn resilient_crawler(&self, accounts: usize, label: &str, seed: u64) -> Box<dyn OsnAccess> {
-        Box::new(self.serial_fleet(accounts, label, seed, 8, self.direct_transport(), |b| b).0)
+        let transport = self.direct_transport();
+        Box::new(self.fleet(accounts, label, seed, 8, Timeline::Platform, transport, |b| b).0)
     }
 
     /// [`Lab::resilient_crawler`] with caller-specified politeness —
@@ -237,8 +257,8 @@ impl Lab {
         politeness: Politeness,
     ) -> Box<dyn OsnAccess> {
         let transport = self.direct_transport();
-        let tune = |b: CrawlerBuilder<_>| b.politeness(politeness);
-        Box::new(self.serial_fleet(accounts, label, seed, 8, transport, tune).0)
+        let tune = |b: ParallelCrawlerBuilder<_>| b.politeness(politeness);
+        Box::new(self.fleet(accounts, label, seed, 8, Timeline::Platform, transport, tune).0)
     }
 
     /// The arms-race attacker: [`Lab::resilient_crawler`] with a deeper
@@ -257,41 +277,21 @@ impl Lab {
         adaptive: Option<AdaptiveStrategy>,
     ) -> Box<dyn OsnAccess> {
         let transport = self.direct_transport();
-        let tune = |b: CrawlerBuilder<_>| match adaptive {
+        let tune = |b: ParallelCrawlerBuilder<_>| match adaptive {
             Some(strategy) => b.adaptive(strategy),
             None => b,
         };
-        Box::new(self.serial_fleet(accounts, label, seed, 64, transport, tune).0)
+        Box::new(self.fleet(accounts, label, seed, 64, Timeline::Platform, transport, tune).0)
     }
 
-    /// [`Lab::resilient_crawler`] with a deterministic [`ChaosTransport`]
-    /// spliced *beneath* the retry layer: every account's wire is
-    /// independently hostile (seeded per account from `seed`), all
-    /// injections fold into one shared [`ChaosStats`] audit block, and
-    /// the shared [`RetryStats`] is returned alongside so a soak can
-    /// reconcile what the transport destroyed against what the retry
-    /// layer absorbed.
-    #[allow(clippy::type_complexity)]
-    pub fn resilient_chaos_crawler(
-        &self,
-        accounts: usize,
-        label: &str,
-        seed: u64,
-        plan: &ChaosPlan,
-    ) -> (
-        Crawler<ResilientExchange<ChaosTransport<DirectExchange>>>,
-        Arc<ChaosStats>,
-        Arc<RetryStats>,
-    ) {
-        let handler = self.handler.clone();
-        self.chaos_crawler_with(accounts, label, seed, plan, move || {
-            DirectExchange::new(handler.clone())
-        })
-    }
-
-    /// [`Lab::resilient_chaos_crawler`] over real loopback TCP
-    /// (requires [`Lab::serve`] / [`Lab::serve_hardened`]): chaos on the
-    /// wire *and* a real overloadable server underneath.
+    /// [`Lab::resilient_crawler`] over real loopback TCP (requires
+    /// [`Lab::serve`] / [`Lab::serve_hardened`]) with a deterministic
+    /// [`ChaosTransport`] spliced *beneath* the retry layer: every
+    /// account's wire is independently hostile (seeded per account from
+    /// `plan`), on top of a real overloadable server. All injections
+    /// fold into one shared [`ChaosStats`] audit block, returned with
+    /// the shared [`RetryStats`] so a soak can reconcile what the
+    /// transport destroyed against what the retry layer absorbed.
     #[allow(clippy::type_complexity)]
     pub fn tcp_chaos_crawler(
         &self,
@@ -299,21 +299,12 @@ impl Lab {
         label: &str,
         seed: u64,
         plan: &ChaosPlan,
-    ) -> (Crawler<ResilientExchange<ChaosTransport<Client>>>, Arc<ChaosStats>, Arc<RetryStats>)
-    {
+    ) -> (
+        ParallelCrawler<ResilientExchange<ChaosTransport<Client>>>,
+        Arc<ChaosStats>,
+        Arc<RetryStats>,
+    ) {
         let addr = self.server.as_ref().expect("call serve() before tcp_chaos_crawler()").addr();
-        self.chaos_crawler_with(accounts, label, seed, plan, move || Client::new(addr))
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn chaos_crawler_with<T: Exchange + 'static>(
-        &self,
-        accounts: usize,
-        label: &str,
-        seed: u64,
-        plan: &ChaosPlan,
-        transport: impl Fn() -> T + 'static,
-    ) -> (Crawler<ResilientExchange<ChaosTransport<T>>>, Arc<ChaosStats>, Arc<RetryStats>) {
         let chaos_stats = Arc::new(ChaosStats::default());
         let chaotic = {
             let plan = plan.clone();
@@ -322,7 +313,7 @@ impl Lab {
             let tracer = Arc::clone(self.obs.tracer());
             move |i: u64| {
                 ChaosTransport::with_stats(
-                    transport(),
+                    Client::new(addr),
                     plan.with_seed(plan.seed ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
                     Arc::clone(&clock),
                     Arc::clone(&chaos_stats),
@@ -330,7 +321,8 @@ impl Lab {
                 .with_tracer(Arc::clone(&tracer))
             }
         };
-        let (crawler, retry_stats) = self.serial_fleet(accounts, label, seed, 8, chaotic, |b| b);
+        let (crawler, retry_stats) =
+            self.fleet(accounts, label, seed, 8, Timeline::Platform, chaotic, |b| b);
         (crawler, chaos_stats, retry_stats)
     }
 
@@ -340,78 +332,38 @@ impl Lab {
         move |_| DirectExchange::new(handler.clone())
     }
 
-    /// The serial resilient fleet behind every resilient crawler above:
-    /// seat `i` runs `transport(i)` under a [`ResilientExchange`] seeded
+    /// The resilient fleet behind every resilient crawler above: seat
+    /// `i` runs `transport(i)` under a [`ResilientExchange`] seeded
     /// `seed ^ i`, recruits continue at `accounts + 1` (up to
-    /// `max_accounts`), and every seat shares the platform's virtual
-    /// clock and one [`RetryStats`] block, returned alongside. `tune`
-    /// sets the caller's remaining builder knobs.
-    #[allow(clippy::type_complexity)]
-    fn serial_fleet<T: Exchange + 'static>(
+    /// `max_accounts`), and every seat shares one [`RetryStats`] block,
+    /// returned alongside. `timeline` picks the seats' clocks and the
+    /// worker count; `tune` sets the caller's remaining builder knobs.
+    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
+    fn fleet<T: Exchange + Send + 'static>(
         &self,
         accounts: usize,
         label: &str,
         seed: u64,
         max_accounts: usize,
+        timeline: Timeline,
         transport: impl Fn(u64) -> T + 'static,
-        tune: impl FnOnce(CrawlerBuilder<ResilientExchange<T>>) -> CrawlerBuilder<ResilientExchange<T>>,
-    ) -> (Crawler<ResilientExchange<T>>, Arc<RetryStats>) {
-        let clock = Arc::clone(&self.platform.clock);
-        let stats = Arc::new(RetryStats::default());
-        let wrap = {
-            let clock = Arc::clone(&clock);
-            let stats = Arc::clone(&stats);
-            let tracer = Arc::clone(self.obs.tracer());
-            move |i: u64| {
-                ResilientExchange::with_stats(
-                    transport(i),
-                    RetryPolicy::seeded(seed ^ i),
-                    Arc::clone(&clock),
-                    Arc::clone(&stats),
-                )
-                .with_tracer(Arc::clone(&tracer))
-            }
+        tune: impl FnOnce(
+            ParallelCrawlerBuilder<ResilientExchange<T>>,
+        ) -> ParallelCrawlerBuilder<ResilientExchange<T>>,
+    ) -> (ParallelCrawler<ResilientExchange<T>>, Arc<RetryStats>) {
+        let (platform_clock, workers) = match timeline {
+            Timeline::Platform => (Some(Arc::clone(&self.platform.clock)), 1),
+            Timeline::PerSeat { workers } => (None, workers),
         };
-        let exchanges: Vec<_> = (0..accounts as u64).map(&wrap).collect();
-        let mut next = accounts as u64;
-        let factory = move || {
-            next += 1;
-            wrap(next)
-        };
-        let builder = Crawler::builder(label)
-            .observability(&self.obs)
-            .clock(clock)
-            .retry_stats(Arc::clone(&stats))
-            .recruit_with(factory, max_accounts);
-        let crawler = tune(builder).build(exchanges).expect("serial crawler setup");
-        (crawler, stats)
-    }
-
-    /// The parallel attack crawler: the same resilient per-account
-    /// transport as [`Lab::resilient_crawler`], but driven by the
-    /// work-stealing scheduler with `workers` OS threads. Every account
-    /// seat carries its *own* virtual clock (backoff/deadline time is
-    /// per-account state, so one account's retries never shift
-    /// another's timeline), and recruitment stays available for
-    /// suspension failover. Results are bit-identical at any `workers`
-    /// value; only wall-clock changes.
-    pub fn parallel_crawler(
-        &self,
-        accounts: usize,
-        workers: usize,
-        label: &str,
-        seed: u64,
-    ) -> ParallelCrawler<ResilientExchange<DirectExchange>> {
         let stats = Arc::new(RetryStats::default());
         let seat = {
-            let handler = self.handler.clone();
             let stats = Arc::clone(&stats);
             let tracer = Arc::clone(self.obs.tracer());
             move |i: u64| {
-                let clock = VirtualClock::shared();
+                let clock = platform_clock.clone().unwrap_or_else(VirtualClock::shared);
                 AccountSeat {
                     exchange: ResilientExchange::with_stats(
-                        DirectExchange::new(handler.clone()),
+                        transport(i),
                         RetryPolicy::seeded(seed ^ i),
                         Arc::clone(&clock),
                         Arc::clone(&stats),
@@ -423,30 +375,35 @@ impl Lab {
         };
         let seats: Vec<_> = (0..accounts as u64).map(&seat).collect();
         let mut next = accounts as u64;
-        let factory = {
-            let seat = seat;
-            move || {
-                next += 1;
-                seat(next)
-            }
+        let factory = move || {
+            next += 1;
+            seat(next)
         };
-        ParallelCrawler::builder(label)
+        let builder = ParallelCrawler::builder(label)
             .workers(workers)
             .observability(&self.obs)
-            .retry_stats(stats)
-            .recruit_with(factory, 8)
-            .build(seats)
-            .expect("parallel crawler setup")
+            .retry_stats(Arc::clone(&stats))
+            .recruit_with(factory, max_accounts);
+        let crawler = tune(builder).build(seats).expect("crawler setup");
+        (crawler, stats)
     }
 
-    /// A crawler over real loopback TCP (requires [`Lab::serve`]).
-    pub fn tcp_crawler(&self, accounts: usize, label: &str) -> Box<dyn OsnAccess> {
-        let addr = self.server.as_ref().expect("call serve() before tcp_crawler()").addr();
-        let exchanges: Vec<Client> = (0..accounts).map(|_| Client::new(addr)).collect();
-        Box::new(
-            Crawler::with_observability(exchanges, label, Politeness::default(), &self.obs)
-                .expect("tcp crawler setup"),
-        )
+    /// The parallel attack crawler: the same resilient per-account
+    /// transport as [`Lab::resilient_crawler`], driven with `workers`
+    /// OS threads. Every account seat carries its *own* virtual clock
+    /// (backoff/deadline time is per-account state, so one account's
+    /// retries never shift another's timeline), and recruitment stays
+    /// available for suspension failover. Results are bit-identical at
+    /// any `workers` value; only wall-clock changes.
+    pub fn parallel_crawler(
+        &self,
+        accounts: usize,
+        workers: usize,
+        label: &str,
+        seed: u64,
+    ) -> ParallelCrawler<ResilientExchange<DirectExchange>> {
+        let transport = self.direct_transport();
+        self.fleet(accounts, label, seed, 8, Timeline::PerSeat { workers }, transport, |b| b).0
     }
 
     /// A crawler honouring `tcp` (serving lazily on first use).

@@ -308,12 +308,8 @@ pub fn audit_trace(obs: &Registry, effort: &Effort) -> TraceAudit {
     }
     let roots_named = |e: Endpoint| endpoints.get(e.label()).copied().unwrap_or(0);
     let decoys_traced = roots_named(Endpoint::Decoy);
-    // Fetch iterations bill the effort bucket even when the transport
-    // fails outright; messages bill only once a response came back.
-    let message_roots = roots
-        .iter()
-        .filter(|s| s.name == Endpoint::Message.label() && s.outcome != "transport")
-        .count() as u64;
+    // Every issued request bills its effort bucket, even when the
+    // transport fails outright.
     let buckets: [(&str, u64, u64); 5] = [
         ("seeds", roots_named(Endpoint::Seeds), effort.seed_requests),
         ("profiles", roots_named(Endpoint::Profile), effort.profile_requests),
@@ -322,7 +318,7 @@ pub fn audit_trace(obs: &Registry, effort: &Effort) -> TraceAudit {
             roots_named(Endpoint::Friends) + roots_named(Endpoint::Circles),
             effort.friend_list_requests,
         ),
-        ("messages", message_roots, effort.message_requests),
+        ("messages", roots_named(Endpoint::Message), effort.message_requests),
         ("decoys", decoys_traced, effort.decoy_requests),
     ];
     for (what, traced, ledgered) in buckets {

@@ -461,7 +461,7 @@ impl Platform {
     /// original byte-identical paths. Live requests are resolved at the
     /// seat clock they carry in `x-virtual-now-ms` — the parallel
     /// crawler's per-account timelines — falling back to the shared
-    /// platform clock for sequential or header-less clients.
+    /// platform clock for header-less clients.
     fn live_world(&self, req: &Request) -> Option<Arc<WorldGen>> {
         if !self.mutations.is_live() {
             return None;

@@ -11,8 +11,8 @@
 //! pure function of (seed, per-account request sequences) — bit-identical
 //! across runs, across the TCP and in-process transports, and across
 //! any interleaving of concurrent accounts. A parallel crawler that
-//! preserves each account's request order sees exactly the faults the
-//! sequential crawler saw, no matter how the threads raced.
+//! preserves each account's request order sees exactly the faults a
+//! one-thread crawl sees, no matter how the threads raced.
 //!
 //! Faults are signalled in-band through response status codes and the
 //! shared header constants in `hsp_http::resilient`, never through

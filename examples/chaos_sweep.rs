@@ -10,6 +10,12 @@
 //! Each row answers: did the attack complete at this fault intensity,
 //! what did it find, and what did surviving cost (retries, recruited
 //! accounts, extra requests, virtual wall-clock)?
+//!
+//! Gate (the run panics if it fails): at every factor the attack
+//! completes and finds exactly what the fault-free run finds — the same
+//! (found, correct-year, false-positive) triple as the 0× row. Faults
+//! may raise the cost, never change the result. `scripts/check.sh` runs
+//! it.
 
 use hs_profiler::core::{evaluate, run_basic, run_enhanced, Completeness, EnhanceOptions};
 use hs_profiler::crawler::{CrawlError, OsnAccess};
@@ -137,6 +143,19 @@ fn main() {
         }
         rows.push(row);
     }
+    let outcome = |r: &SweepRow| (r.completed, r.found, r.correct_year, r.false_positives);
+    let clean = outcome(&rows[0]);
+    assert!(clean.0, "the fault-free attack must complete");
+    for row in &rows[1..] {
+        assert_eq!(
+            outcome(row),
+            clean,
+            "at {}x chaos the attack must complete and find what the fault-free run finds \
+             (completed, found, correct-year, false positives)",
+            row.factor
+        );
+    }
+    println!("[chaos] gate passed: every factor completes with the fault-free findings");
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_chaos.json");
     append_bench_rows(path, rows.iter().map(headline_row).collect());
 }

@@ -9,7 +9,7 @@
 use hs_profiler::core::{
     evaluate, run_basic, run_enhanced, AttackConfig, EnhanceOptions, GroundTruth,
 };
-use hs_profiler::crawler::{Crawler, OsnAccess};
+use hs_profiler::crawler::{AccountSeat, OsnAccess, ParallelCrawler};
 use hs_profiler::http::DirectExchange;
 use hs_profiler::platform::{Platform, PlatformConfig};
 use hs_profiler::policy::FacebookPolicy;
@@ -35,9 +35,12 @@ fn main() {
     let handler = platform.into_handler();
 
     // 3. The attacker: two fake accounts, crawling only stranger-visible
-    //    pages.
-    let exchanges = (0..2).map(|_| DirectExchange::new(handler.clone())).collect();
-    let mut crawler = Crawler::new(exchanges, "quickstart").expect("crawler");
+    //    pages. Each account is one seat of the crawl engine, with its
+    //    own exchange and its own virtual timeline.
+    let seats = (0..2)
+        .map(|_| AccountSeat { exchange: DirectExchange::new(handler.clone()), clock: None })
+        .collect();
+    let mut crawler = ParallelCrawler::builder("quickstart").build(seats).expect("crawler");
     let config = AttackConfig::new(
         scenario.school,
         scenario.network.senior_class_year(),

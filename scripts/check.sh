@@ -22,6 +22,9 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 echo "==> chaos integration test (HS1 attack under FaultPlan::chaos)"
 cargo test -q --test chaos_attack
 
+echo "==> chaos sweep (HS1 attack at 0-4x FaultPlan::chaos: every factor finds the fault-free result)"
+cargo run --release --example chaos_sweep
+
 echo "==> crawl bench, smoke mode (parallel determinism + scaling)"
 cargo run --release --example crawl_bench -- --smoke
 

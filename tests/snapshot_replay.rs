@@ -3,7 +3,7 @@
 //! offline workflow.
 
 use hs_profiler::core::{run_basic, AttackConfig};
-use hs_profiler::crawler::{CrawlSnapshot, Crawler, SnapshotAccess};
+use hs_profiler::crawler::{AccountSeat, CrawlSnapshot, ParallelCrawler, SnapshotAccess};
 use hs_profiler::http::DirectExchange;
 use hs_profiler::platform::{Platform, PlatformConfig};
 use hs_profiler::policy::FacebookPolicy;
@@ -26,9 +26,10 @@ fn offline_replay_reproduces_live_discovery() {
     );
 
     // Live run.
-    let exchanges: Vec<DirectExchange> =
-        (0..2).map(|_| DirectExchange::new(handler.clone())).collect();
-    let mut live = Crawler::new(exchanges, "snap").unwrap();
+    let seats = (0..2)
+        .map(|_| AccountSeat { exchange: DirectExchange::new(handler.clone()), clock: None })
+        .collect();
+    let mut live = ParallelCrawler::builder("snap").build(seats).unwrap();
     let live_discovery = run_basic(&mut live, &config).unwrap();
 
     // Capture through a second crawler with the same account layout (a
@@ -39,9 +40,10 @@ fn offline_replay_reproduces_live_discovery() {
         PlatformConfig::default(),
     );
     let handler2 = platform2.into_handler();
-    let exchanges: Vec<DirectExchange> =
-        (0..2).map(|_| DirectExchange::new(handler2.clone())).collect();
-    let mut capture_crawler = Crawler::new(exchanges, "snap").unwrap();
+    let seats = (0..2)
+        .map(|_| AccountSeat { exchange: DirectExchange::new(handler2.clone()), clock: None })
+        .collect();
+    let mut capture_crawler = ParallelCrawler::builder("snap").build(seats).unwrap();
     let snapshot = CrawlSnapshot::capture(&mut capture_crawler, scenario.school, &[]).unwrap();
     assert!(snapshot.effort.total() > 0);
 

@@ -3,7 +3,7 @@
 //! i.e. the HTTP layer is a faithful transport, not part of the model.
 
 use hs_profiler::core::{run_basic, AttackConfig};
-use hs_profiler::crawler::{Crawler, OsnAccess};
+use hs_profiler::crawler::{AccountSeat, OsnAccess, ParallelCrawler};
 use hs_profiler::http::{Client, DirectExchange, Server};
 use hs_profiler::platform::{Platform, PlatformConfig};
 use hs_profiler::policy::FacebookPolicy;
@@ -26,9 +26,10 @@ fn direct_and_tcp_attacks_agree_exactly() {
     );
 
     // In-process run (accounts get platform indices 0, 1).
-    let exchanges: Vec<DirectExchange> =
-        (0..2).map(|_| DirectExchange::new(handler.clone())).collect();
-    let mut direct = Crawler::new(exchanges, "direct").unwrap();
+    let seats = (0..2)
+        .map(|_| AccountSeat { exchange: DirectExchange::new(handler.clone()), clock: None })
+        .collect();
+    let mut direct = ParallelCrawler::builder("direct").build(seats).unwrap();
     let d1 = run_basic(&mut direct, &config).unwrap();
 
     // TCP run against the same platform (accounts 2, 3 — but the search
@@ -40,8 +41,9 @@ fn direct_and_tcp_attacks_agree_exactly() {
         PlatformConfig::default(),
     );
     let server = Server::start(platform2.into_handler()).unwrap();
-    let clients: Vec<Client> = (0..2).map(|_| Client::new(server.addr())).collect();
-    let mut tcp = Crawler::new(clients, "tcp").unwrap();
+    let seats =
+        (0..2).map(|_| AccountSeat { exchange: Client::new(server.addr()), clock: None }).collect();
+    let mut tcp = ParallelCrawler::builder("tcp").build(seats).unwrap();
     let d2 = run_basic(&mut tcp, &config).unwrap();
 
     assert_eq!(d1.seeds, d2.seeds, "seed sets differ across transports");
@@ -71,9 +73,10 @@ fn attack_is_deterministic_across_repeat_runs() {
             PlatformConfig::default(),
         );
         let handler = platform.into_handler();
-        let exchanges: Vec<DirectExchange> =
-            (0..2).map(|_| DirectExchange::new(handler.clone())).collect();
-        let mut crawler = Crawler::new(exchanges, "det").unwrap();
+        let seats = (0..2)
+            .map(|_| AccountSeat { exchange: DirectExchange::new(handler.clone()), clock: None })
+            .collect();
+        let mut crawler = ParallelCrawler::builder("det").build(seats).unwrap();
         let config = AttackConfig::new(
             scenario.school,
             scenario.network.senior_class_year(),
